@@ -25,7 +25,10 @@ fn main() {
     // Arm the streaming tracker: the second half of the figure is built
     // entirely from it. (No-op when `--dashboard` already installed it.)
     LevelTracker::install(LevelTracker::enabled());
-    let runs = args.first().and_then(|s| s.parse().ok()).unwrap_or(500);
+    let runs = telemetry_cli::count_arg("fig12", &args, 500).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(e.code);
+    });
     println!("== Fig 12: σ(R_HRS) and margin vs compliance current ({runs} MC runs) ==\n");
     let campaign = paper_qlc_campaign(runs);
     let samples: Vec<_> = campaign.iter().map(|c| c.to_level_samples()).collect();

@@ -29,7 +29,10 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(e.code);
     });
-    let runs = args.first().and_then(|s| s.parse().ok()).unwrap_or(4);
+    let runs = telemetry_cli::count_arg("postmortem_demo", &args, 4).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(e.code);
+    });
     // The demo's whole point is the artifact bundle: default the directory
     // in when no --artifacts-dir was given.
     if oxterm_telemetry::postmortem::artifacts_dir().is_none() {

@@ -4,8 +4,8 @@
 //! Usage in a `src/bin/` target:
 //!
 //! ```ignore
-//! let (args, tel_cli) = telemetry_cli::init("fig11");
-//! let runs = args.first().and_then(|s| s.parse().ok()).unwrap_or(500);
+//! let (args, tel_cli) = telemetry_cli::init("fig11")?;
+//! let runs = telemetry_cli::count_arg("fig11", &args, 500)?;
 //! // ... experiment ...
 //! tel_cli.finish();
 //! ```
@@ -13,8 +13,10 @@
 //! `init` installs the enabled process-global [`Telemetry`] and/or
 //! [`Tracer`] when the flags are present (it must run before any
 //! instrumented work) and strips the flags from the argument list so
-//! positional arguments keep their meaning. `finish` prints the run report
-//! and writes the requested artifacts.
+//! positional arguments keep their meaning. Once the binary has stripped
+//! its own flags too, [`count_arg`] reads the leading count and rejects
+//! whatever is left that looks like a flag. `finish` prints the run
+//! report and writes the requested artifacts.
 //!
 //! Flags:
 //!
@@ -71,12 +73,6 @@
 //!   for the lifetime of the run. Counters folded only at exit (the
 //!   `profile.*` family) appear in the last scrape and in
 //!   `--metrics-out`.
-//! * `--submit=ADDR` — run the binary's Monte Carlo campaigns as jobs on
-//!   an `oxterm-serve` instance at `ADDR` instead of in-process: the
-//!   binary becomes a client, submitting with idempotency tokens,
-//!   absorbing `queue_full` backpressure, and polling for the results.
-//!   The local solver never runs; figure binaries print the job
-//!   summaries the service returns.
 //!
 //! Any of the four campaign flags switches the binary's Monte Carlo
 //! campaigns onto [`oxterm_mc::run_supervised`] (retry ladder, panic
@@ -185,8 +181,6 @@ pub struct ParsedFlags {
     pub metrics_out: Option<String>,
     /// The `--metrics-listen=ADDR` address, if present.
     pub metrics_listen: Option<String>,
-    /// The `--submit=ADDR` job-service address, if present.
-    pub submit: Option<String>,
     /// Remaining (positional) arguments, in order.
     pub rest: Vec<String>,
 }
@@ -218,7 +212,6 @@ pub fn parse_flags(args: impl Iterator<Item = String>) -> ParsedFlags {
         profile: None,
         metrics_out: None,
         metrics_listen: None,
-        submit: None,
         rest: Vec::new(),
     };
     for a in args {
@@ -268,13 +261,33 @@ pub fn parse_flags(args: impl Iterator<Item = String>) -> ParsedFlags {
             parsed.metrics_out = Some(path.to_string());
         } else if let Some(addr) = a.strip_prefix("--metrics-listen=") {
             parsed.metrics_listen = Some(addr.to_string());
-        } else if let Some(addr) = a.strip_prefix("--submit=") {
-            parsed.submit = Some(addr.to_string());
         } else {
             parsed.rest.push(a);
         }
     }
     parsed
+}
+
+/// The leading positional count (runs, samples, ...) of a binary whose
+/// flags have all been stripped from `args`, or `default` when there is
+/// none.
+///
+/// A leftover `--`-prefixed argument is a flag no one recognised and an
+/// unparseable count is a typo: both are config errors naming the
+/// argument, so a misspelled `--chekpoint=x` can never quietly run the
+/// default campaign unsupervised.
+pub fn count_arg(name: &str, args: &[String], default: usize) -> Result<usize, CliError> {
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(CliError::config(format!("{name}: unknown flag {flag:?}")));
+    }
+    match args.first() {
+        None => Ok(default),
+        Some(count) => count.parse().map_err(|_| {
+            CliError::config(format!(
+                "{name}: bad count {count:?} (expected a non-negative integer)"
+            ))
+        }),
+    }
 }
 
 /// Parsed telemetry CLI state; call [`TelemetryCli::finish`] at exit.
@@ -309,8 +322,6 @@ pub struct TelemetryCli {
     /// Structural stats of the run's representative circuit, handed in by
     /// the binary via [`TelemetryCli::record_matrix_stats`].
     matrix: Option<MatrixStats>,
-    /// The `--submit=ADDR` job-service address, if present.
-    submit: Option<String>,
 }
 
 /// Parses `std::env::args`, installs global telemetry/tracing if requested,
@@ -420,7 +431,6 @@ pub fn init_from(
             metrics_server,
             run_phase: Some(run_phase),
             matrix: None,
-            submit: parsed.submit,
         },
     ))
 }
@@ -519,13 +529,6 @@ impl TelemetryCli {
     /// Whether `--profile[=PATH]` armed the profiler via this CLI.
     pub fn profile_requested(&self) -> bool {
         self.profile_to.is_some()
-    }
-
-    /// The `oxterm-serve` address from `--submit=ADDR`, if the binary was
-    /// asked to run its campaigns through the job service instead of
-    /// in-process.
-    pub fn submit_addr(&self) -> Option<&str> {
-        self.submit.as_deref()
     }
 
     /// Writes the trace artifacts (Chrome JSON + ASCII timeline), prints
@@ -747,11 +750,43 @@ mod tests {
         parse_flags(args.iter().map(|s| (*s).to_string()))
     }
 
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| (*s).to_string()).collect()
+    }
+
     #[test]
     fn flag_is_stripped_and_positionals_survive() {
         let p = parse(&["120", "--telemetry"]);
         assert_eq!(p.rest, vec!["120".to_string()]);
         assert_eq!(p.mode, TelemetryMode::Table);
+        // Unrecognised flags are left in `rest` for the binary's own
+        // parser, and `count_arg` rejects whatever survives that.
+        let p = parse(&["--submit=127.0.0.1:7077", "200", "--chekpoint=x"]);
+        assert_eq!(
+            p.rest,
+            strings(&["--submit=127.0.0.1:7077", "200", "--chekpoint=x"])
+        );
+        assert!(!p.wants_supervision());
+    }
+
+    #[test]
+    fn count_arg_defaults_parses_and_rejects_leftovers() {
+        assert_eq!(count_arg("fig11", &[], 500), Ok(500));
+        assert_eq!(count_arg("fig11", &strings(&["200"]), 500), Ok(200));
+        for (args, culprit) in [
+            (&["200", "--chekpoint=x"][..], "--chekpoint=x"),
+            (
+                &["--submit=127.0.0.1:7077", "200"][..],
+                "--submit=127.0.0.1:7077",
+            ),
+            (&["--", "40"][..], "\"--\""),
+            (&["2OO"][..], "2OO"),
+            (&["-5"][..], "-5"),
+        ] {
+            let err = count_arg("fig11", &strings(args), 500).unwrap_err();
+            assert_eq!(err.code, 2, "{args:?}");
+            assert!(err.message.contains(culprit), "{}", err.message);
+        }
     }
 
     #[test]
@@ -925,20 +960,6 @@ mod tests {
         assert_eq!(off.profile, None);
         assert_eq!(off.metrics_out, None);
         assert_eq!(off.metrics_listen, None);
-    }
-
-    #[test]
-    fn submit_flag_parses_and_reaches_the_cli() {
-        let p = parse(&["--submit=127.0.0.1:7077", "500"]);
-        assert_eq!(p.submit, Some("127.0.0.1:7077".to_string()));
-        assert_eq!(p.rest, vec!["500".to_string()]);
-        assert_eq!(parse(&["500"]).submit, None);
-        let (_, cli) = init_from(
-            "cli_test",
-            ["--submit=127.0.0.1:7077".to_string()].into_iter(),
-        )
-        .expect("init accepts a submit flag");
-        assert_eq!(cli.submit_addr(), Some("127.0.0.1:7077"));
     }
 
     #[test]

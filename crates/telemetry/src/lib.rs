@@ -66,7 +66,6 @@ mod counter;
 mod histogram;
 pub mod joule;
 mod json;
-pub mod jsonl;
 pub mod levels;
 pub mod metrics;
 pub mod postmortem;
@@ -83,7 +82,6 @@ pub use counter::Counter;
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use joule::{DeviceClass, JouleLedger, JouleSnapshot, ProgramPhase, Role};
 pub use json::JsonWriter;
-pub use jsonl::JsonlSplit;
 pub use levels::{LevelCounts, LevelSummary, LevelTracker, LevelsSnapshot};
 pub use metrics::MetricsServer;
 pub use profiler::{PhaseGuard, PhaseId, PhaseRole, PhaseStats, ProfileSnapshot, Profiler};

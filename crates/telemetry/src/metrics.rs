@@ -1,7 +1,7 @@
 //! Prometheus text-format export of the telemetry registry.
 //!
-//! The seed of `oxterm-serve` (ROADMAP item 5): a run's [`RunReport`] —
-//! counters, histograms, and folded `profile.*` phase totals — renders to
+//! A run's [`RunReport`] — counters, histograms, and folded `profile.*`
+//! phase totals — renders to
 //! the Prometheus text exposition format (version 0.0.4), either written to
 //! a file (`--metrics-out=PATH`) or served by [`MetricsServer`], a
 //! deliberately minimal std-only blocking TCP responder that answers

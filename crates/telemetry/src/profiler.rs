@@ -417,7 +417,9 @@ impl ProfileSnapshot {
     }
 
     /// Renders the snapshot as an indented ASCII tree with per-phase
-    /// calls, wall, self, allocation, and share columns.
+    /// calls, wall, self, allocation, and share columns. Rows carry the
+    /// full static path, so `bench/run`, `mc/worker/run` and `tran/run`
+    /// stay distinguishable.
     pub fn to_ascii_tree(&self) -> String {
         let mut out = String::new();
         if self.is_empty() {
@@ -437,8 +439,7 @@ impl ProfileSnapshot {
         for p in &self.phases {
             let path = p.path();
             let depth = path.matches('/').count();
-            let name = path.rsplit('/').next().unwrap_or(path);
-            let label = format!("{}{}", "  ".repeat(depth), name);
+            let label = format!("{}{}", "  ".repeat(depth), path);
             let share = match self.share(p) {
                 Some(s) => format!("{:.1}%", s * 100.0),
                 None => "-".to_string(),

@@ -123,13 +123,27 @@ fn snapshot_artifacts_render_and_fold() {
         let _lu = prof.phase(PhaseId::NewtonSolveLu);
         busy_wait_us(200);
     }
+    {
+        let _worker = prof.phase(PhaseId::McWorkerRun);
+        let _tran = prof.phase(PhaseId::TranRun);
+    }
     let snap = prof.snapshot();
 
-    // The tree indents by depth and prints the last path segment; the
-    // JSON carries the full paths.
+    // The tree indents by depth and prints the full path, as the JSON
+    // does: the three phases whose leaf name is `run` stay distinct.
     let tree = snap.to_ascii_tree();
-    assert!(tree.contains("solve_lu"), "{tree}");
+    assert!(tree.contains("tran/newton/solve_lu"), "{tree}");
     assert!(tree.contains("leaf coverage"), "{tree}");
+    let run_rows: Vec<&str> = tree
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .filter(|label| label.ends_with("/run"))
+        .collect();
+    assert_eq!(
+        run_rows,
+        ["bench/run", "mc/worker/run", "tran/run"],
+        "{tree}"
+    );
     let json = snap.to_json();
     assert!(json.contains("oxterm-profile/1"), "{json}");
     assert!(json.contains("\"bench/run\""), "{json}");
