@@ -4,10 +4,13 @@
 //! `500 runs × 16 levels` terminated-RESET simulations. Running each through
 //! the full MNA transient engine works but is wasteful for a series
 //! `driver – R_series – cell` path, so this module provides a semi-analytic
-//! fast path: at each time step the resistive divider is solved exactly
-//! (safeguarded Newton) and the filament ODE advanced in closed form. The
-//! integration test suite cross-checks this fast path against the full
-//! circuit-level transient.
+//! fast path on a fixed time step. Each step solves the cell voltage
+//! against the access path's load line (the series resistance, or during
+//! SET the access transistor's compliance current) by Newton with the
+//! analytic Jacobian, warm-started from the previous step's voltage, and
+//! then advances the filament ODE in closed form, reusing the solved
+//! current. The integration test suite cross-checks this fast path against
+//! the full circuit-level transient.
 //!
 //! The same fast path makes model calibration affordable:
 //! [`calibrate`] runs a Nelder–Mead search over the model card to match the
@@ -74,17 +77,102 @@ pub struct TerminationOutcome {
     pub i_initial: f64,
 }
 
-/// Solves the resistive divider: the cell-voltage magnitude `v_c` with
-/// `I(v_c, ρ) = (v_drive − v_c)/r_series`.
-fn solve_divider(
+/// The current the access path delivers at cell voltage `v`.
+#[derive(Debug, Clone, Copy)]
+enum Load {
+    /// The driver through the series path: `(v_drive − v)/r_series`.
+    Divider { v_drive: f64, r_series: f64 },
+    /// A saturated access transistor: the constant compliance current.
+    Compliance { i: f64 },
+}
+
+impl Load {
+    fn current(self, v: f64) -> f64 {
+        match self {
+            Load::Divider { v_drive, r_series } => (v_drive - v) / r_series,
+            Load::Compliance { i } => i,
+        }
+    }
+
+    /// `−∂current/∂v`, the load's share of the Newton Jacobian.
+    fn conductance(self) -> f64 {
+        match self {
+            Load::Divider { r_series, .. } => 1.0 / r_series,
+            Load::Compliance { .. } => 0.0,
+        }
+    }
+}
+
+/// Solver work of one fast-path run, counted locally and flushed to
+/// telemetry once per run so the step loop stays free of atomics.
+#[derive(Debug, Default)]
+struct SolveWork {
+    newton_iters: u64,
+    fallbacks: u64,
+}
+
+impl SolveWork {
+    fn flush(&self, tel: &Telemetry) {
+        tel.add("rram.divider.newton_iters", self.newton_iters);
+        tel.add("rram.divider.fallbacks", self.fallbacks);
+    }
+}
+
+/// Newton iterates tried from the warm start before the bracketed fallback.
+const WARM_NEWTON_BUDGET: u32 = 12;
+
+/// Solves `I(v_c, ρ) = load(v_c)` for the cell-voltage magnitude on
+/// `(0, v_drive)` and returns `(v_c, I(v_c, ρ))`.
+///
+/// Newton starts from `guess` (the previous step's `v_c`) with the analytic
+/// Jacobian `∂I/∂v + load conductance`. A guess or iterate outside
+/// `(0, v_drive)`, or an exhausted iteration budget, falls back to the
+/// bracketed [`newton_bisect`] on `[0, v_drive]`. Both accept at the
+/// [`RootOptions::default`] tolerances; on acceptance the warm path also
+/// applies the Newton correction it has already computed, so the returned
+/// root is accurate well below the `f_tol` band.
+fn solve_cell(
     params: &OxramParams,
     inst: &InstanceVariation,
     rho: f64,
     v_drive: f64,
-    r_series: f64,
-) -> Result<f64, RramError> {
-    let f = |vc: f64| model::cell_current(params, inst, vc, rho) - (v_drive - vc) / r_series;
-    Ok(newton_bisect(f, 0.0, v_drive, RootOptions::default())?)
+    load: Load,
+    guess: f64,
+    work: &mut SolveWork,
+) -> Result<(f64, f64), RramError> {
+    let opts = RootOptions::default();
+    let inside = |v: f64| v > 0.0 && v < v_drive;
+    let mut v = guess;
+    let mut iters = 0;
+    while inside(v) && iters < WARM_NEWTON_BUDGET {
+        iters += 1;
+        work.newton_iters += 1;
+        let (i, g) = model::current_and_conductance(params, inst, v, rho);
+        let f = i - load.current(v);
+        let step = f / (g + load.conductance());
+        let next = v - step;
+        if f.abs() <= opts.f_tol || step.abs() <= opts.x_tol {
+            // Converged. The final correction comes free and squares the
+            // error; linearising I about `v` gives the current there to the
+            // same order without another transcendental call.
+            return Ok(if inside(next) {
+                (next, i - g * step)
+            } else {
+                (v, i)
+            });
+        }
+        v = next;
+    }
+    work.fallbacks += 1;
+    let f = |vc: f64| model::cell_current(params, inst, vc, rho) - load.current(vc);
+    let v = newton_bisect(f, 0.0, v_drive, opts)?;
+    Ok((v, model::cell_current(params, inst, v, rho)))
+}
+
+/// Fixed-width pulse length in whole steps (immune to the float drift of
+/// accumulating `t += dt`).
+fn step_count(width: f64, dt: f64) -> u64 {
+    (width / dt).round() as u64
 }
 
 /// Simulates one current-terminated RESET in the fast scalar path.
@@ -112,7 +200,7 @@ pub fn simulate_reset_termination(
         });
     }
     let tel = Telemetry::global();
-    let _calib = Profiler::global().phase(PhaseId::RramCalib);
+    let _phase = Profiler::global().phase(PhaseId::RramFastReset);
     tel.incr("rram.termination.runs");
     if oxterm_chaos::should_inject(oxterm_chaos::FaultKind::NewtonStall) {
         // Fast-path analogue of a forced Newton stall: the Monte Carlo
@@ -125,18 +213,22 @@ pub fn simulate_reset_termination(
     // driver, so the trace shows what each worker is chewing on.
     let mut trace_span = Tracer::global().span(Track::Program, "reset_fast");
     trace_span.arg(Arg::f64("i_ref_a", cond.i_ref));
+    let load = Load::Divider {
+        v_drive: cond.v_drive,
+        r_series: cond.r_series,
+    };
+    let mut work = SolveWork::default();
     let mut rho = cond.rho_start;
-    let mut t = 0.0;
     let mut energy = 0.0;
     let mut e_cell = 0.0;
     let mut i_prev = f64::NAN;
-    let mut vc_prev = 0.0;
+    let mut vc_prev = 0.5 * cond.v_drive;
     let mut i_initial = 0.0;
     let mut steps = 0u64;
     loop {
-        let vc = solve_divider(params, inst, rho, cond.v_drive, cond.r_series)?;
-        let i = model::cell_current(params, inst, vc, rho);
-        if t == 0.0 {
+        let t = steps as f64 * cond.dt;
+        let (vc, i) = solve_cell(params, inst, rho, cond.v_drive, load, vc_prev, &mut work)?;
+        if steps == 0 {
             i_initial = i;
         } else {
             // Trapezoidal energy over the step just completed — same
@@ -155,6 +247,7 @@ pub fn simulate_reset_termination(
             };
             if tel.is_enabled() {
                 tel.add("rram.termination.steps", steps);
+                work.flush(tel);
                 tel.record("rram.termination.latency_s", latency.max(0.0));
                 // Discrete-time comparator overshoot: how far the current
                 // fell past IrefR before the trip was observed.
@@ -188,6 +281,7 @@ pub fn simulate_reset_termination(
         }
         if t >= cond.t_max {
             tel.incr("rram.termination.not_terminated");
+            work.flush(tel);
             Tracer::global().instant(
                 Track::Program,
                 "not_terminated",
@@ -199,11 +293,10 @@ pub fn simulate_reset_termination(
                 i_final: i,
             });
         }
-        rho = model::advance_state(params, inst, rho, -vc, cond.dt);
+        rho = model::advance_state_from(params, inst, rho, -vc, cond.dt, Some(i));
         i_prev = i;
         vc_prev = vc;
         steps += 1;
-        t += cond.dt;
     }
 }
 
@@ -249,29 +342,33 @@ pub fn simulate_standard_reset(
     v_read: f64,
 ) -> Result<TerminationOutcome, RramError> {
     params.validate()?;
+    let load = Load::Divider {
+        v_drive: pulse.v_drive,
+        r_series: pulse.r_series,
+    };
+    let mut work = SolveWork::default();
     let mut rho = rho_start;
-    let mut t = 0.0;
+    let (mut vc, mut i) = solve_cell(
+        params,
+        inst,
+        rho,
+        pulse.v_drive,
+        load,
+        0.5 * pulse.v_drive,
+        &mut work,
+    )?;
+    let i_initial = i;
     let mut energy = 0.0;
-    let mut i_initial = 0.0;
-    let mut p_prev = 0.0;
-    while t < pulse.width {
-        let vc = solve_divider(params, inst, rho, pulse.v_drive, pulse.r_series)?;
-        let i = model::cell_current(params, inst, vc, rho);
-        let p = pulse.v_drive * i;
-        if t == 0.0 {
-            i_initial = i;
-        } else {
-            energy += 0.5 * (p_prev + p) * pulse.dt;
-        }
-        p_prev = p;
-        rho = model::advance_state(params, inst, rho, -vc, pulse.dt);
-        t += pulse.dt;
+    for _ in 0..step_count(pulse.width, pulse.dt) {
+        rho = model::advance_state_from(params, inst, rho, -vc, pulse.dt, Some(i));
+        let p_prev = pulse.v_drive * i;
+        (vc, i) = solve_cell(params, inst, rho, pulse.v_drive, load, vc, &mut work)?;
+        energy += 0.5 * (p_prev + pulse.v_drive * i) * pulse.dt;
     }
-    // Close the final trapezoid at the pulse edge with the post-advance
-    // state, so the covered measure matches the rectangle rule's.
-    let vc = solve_divider(params, inst, rho, pulse.v_drive, pulse.r_series)?;
-    let i_end = model::cell_current(params, inst, vc, rho);
-    energy += 0.5 * (p_prev + pulse.v_drive * i_end) * pulse.dt;
+    let tel = Telemetry::global();
+    if tel.is_enabled() {
+        work.flush(tel);
+    }
     Ok(TerminationOutcome {
         rho_final: rho,
         r_read_ohms: model::read_resistance(params, inst, rho, v_read),
@@ -371,44 +468,44 @@ pub fn simulate_set(
     cond: &SetConditions,
 ) -> Result<SetOutcome, RramError> {
     params.validate()?;
-    let _calib = Profiler::global().phase(PhaseId::RramCalib);
-    // Operating point at state `rho`, with the access-transistor compliance
-    // clamp: when the divider current would exceed it, the transistor
-    // saturates and the cell voltage is re-solved at the clamped current.
-    let solve_point = |rho: f64| -> Result<(f64, f64), RramError> {
-        let vc_div = solve_divider(params, inst, rho, cond.v_drive, cond.r_series)?;
-        let i_div = model::cell_current(params, inst, vc_div, rho);
-        if i_div > cond.i_compliance {
-            let f = |v: f64| model::cell_current(params, inst, v, rho) - cond.i_compliance;
-            let vc = newton_bisect(f, 0.0, cond.v_drive, RootOptions::default())?;
+    let _phase = Profiler::global().phase(PhaseId::RramFastSet);
+    let divider = Load::Divider {
+        v_drive: cond.v_drive,
+        r_series: cond.r_series,
+    };
+    let clamp = Load::Compliance {
+        i: cond.i_compliance,
+    };
+    // With exactly the compliance current through the series path the cell
+    // sees `v_knee`. The divider current exceeds the compliance iff the cell
+    // already draws more than that at `v_knee` (the divider residual is
+    // increasing in v_c), so one current evaluation picks the load line.
+    let v_knee = cond.v_drive - cond.r_series * cond.i_compliance;
+    let mut work = SolveWork::default();
+    // Operating point at state `rho`, warm-started from `guess`.
+    let mut solve_point = |rho: f64, guess: f64| -> Result<(f64, f64), RramError> {
+        if model::cell_current(params, inst, v_knee, rho) > cond.i_compliance {
+            let (vc, _) = solve_cell(params, inst, rho, cond.v_drive, clamp, guess, &mut work)?;
             Ok((vc, cond.i_compliance))
         } else {
-            Ok((vc_div, i_div))
+            solve_cell(params, inst, rho, cond.v_drive, divider, guess, &mut work)
         }
     };
     let mut rho = cond.rho_start;
-    let mut t = 0.0;
+    let (mut vc, mut i) = solve_point(rho, 0.5 * cond.v_drive)?;
     let mut energy = 0.0;
     let mut e_cell = 0.0;
-    let mut p_prev = 0.0;
-    let mut pc_prev = 0.0;
-    while t < cond.width {
-        let (vc, i) = solve_point(rho)?;
-        let p = cond.v_drive * i;
-        let pc = vc * i;
-        if t > 0.0 {
-            energy += 0.5 * (p_prev + p) * cond.dt;
-            e_cell += 0.5 * (pc_prev + pc) * cond.dt;
-        }
-        p_prev = p;
-        pc_prev = pc;
+    for _ in 0..step_count(cond.width, cond.dt) {
         rho = model::advance_state(params, inst, rho, vc, cond.dt);
-        t += cond.dt;
+        let (p_prev, pc_prev) = (cond.v_drive * i, vc * i);
+        (vc, i) = solve_point(rho, vc)?;
+        energy += 0.5 * (p_prev + cond.v_drive * i) * cond.dt;
+        e_cell += 0.5 * (pc_prev + vc * i) * cond.dt;
     }
-    // Close the final trapezoid at the pulse edge.
-    let (vc, i) = solve_point(rho)?;
-    energy += 0.5 * (p_prev + cond.v_drive * i) * cond.dt;
-    e_cell += 0.5 * (pc_prev + vc * i) * cond.dt;
+    let tel = Telemetry::global();
+    if tel.is_enabled() {
+        work.flush(tel);
+    }
     let ledger = JouleLedger::global();
     if ledger.is_enabled() {
         ledger.record_energy(DeviceClass::RramCell, Role::RramCell, e_cell);
@@ -720,9 +817,23 @@ mod tests {
         let out = simulate_reset_termination(&p, &inst, &cond).unwrap();
         let mut rho = cond.rho_start;
         let mut rect = 0.0;
+        let load = Load::Divider {
+            v_drive: cond.v_drive,
+            r_series: cond.r_series,
+        };
+        let mut vc = 0.5 * cond.v_drive;
         loop {
-            let vc = solve_divider(&p, &inst, rho, cond.v_drive, cond.r_series).unwrap();
-            let i = model::cell_current(&p, &inst, vc, rho);
+            let i;
+            (vc, i) = solve_cell(
+                &p,
+                &inst,
+                rho,
+                cond.v_drive,
+                load,
+                vc,
+                &mut SolveWork::default(),
+            )
+            .unwrap();
             if i <= cond.i_ref {
                 break;
             }
@@ -732,6 +843,164 @@ mod tests {
         let rel = (out.energy_j - rect).abs() / rect;
         assert!(rel > 1e-7, "trapezoid should differ from rectangle: {rel}");
         assert!(rel < 1e-2, "quadrature change too large: {rel}");
+    }
+
+    /// Reference solve: bracketed `newton_bisect` on `[0, v_drive]` from
+    /// the midpoint, with its finite-difference derivative.
+    fn bracketed(
+        p: &OxramParams,
+        inst: &InstanceVariation,
+        rho: f64,
+        load: Load,
+        v_drive: f64,
+    ) -> f64 {
+        let f = |vc: f64| model::cell_current(p, inst, vc, rho) - load.current(vc);
+        newton_bisect(f, 0.0, v_drive, RootOptions::default()).unwrap()
+    }
+
+    fn corners() -> Vec<InstanceVariation> {
+        let mut out = vec![InstanceVariation::nominal()];
+        for lx_factor in [0.9, 1.1] {
+            for alpha_factor in [0.9, 1.1] {
+                out.push(InstanceVariation {
+                    lx_factor,
+                    alpha_factor,
+                });
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn warm_started_solve_agrees_with_bracketed_newton() {
+        let p = OxramParams::calibrated();
+        for inst in corners() {
+            for v_drive in [1.1523, 3.0] {
+                for rho in [1e-6, 1e-3, 0.1, 0.5, 1.0] {
+                    let mut loads = vec![Load::Divider {
+                        v_drive,
+                        r_series: 3.6131e3,
+                    }];
+                    // The compliance line only has a root once the cell can
+                    // draw the compliance current below v_drive.
+                    if model::cell_current(&p, &inst, v_drive, rho) > 100e-6 {
+                        loads.push(Load::Compliance { i: 100e-6 });
+                    }
+                    for load in loads {
+                        let v_raw = bracketed(&p, &inst, rho, load, v_drive);
+                        // `newton_bisect` stops anywhere inside its f_tol band,
+                        // up to ~3e-11 V from the root here; one analytic
+                        // correction puts the reference on the root itself.
+                        let (i_raw, g) = model::current_and_conductance(&p, &inst, v_raw, rho);
+                        let v_ref =
+                            v_raw - (i_raw - load.current(v_raw)) / (g + load.conductance());
+                        let i_ref = model::cell_current(&p, &inst, v_ref, rho);
+                        // Cold (midpoint) and warm (a nearby previous step) starts.
+                        for guess in [
+                            0.5 * v_drive,
+                            0.9 * v_ref,
+                            (1.1 * v_ref).min(0.99 * v_drive),
+                        ] {
+                            let mut work = SolveWork::default();
+                            let (v, i) =
+                                solve_cell(&p, &inst, rho, v_drive, load, guess, &mut work)
+                                    .unwrap();
+                            let ctx = format!(
+                                "{inst:?} v_drive={v_drive} rho={rho} {load:?} guess={guess}"
+                            );
+                            assert!(
+                                (v - v_ref).abs() <= 1e-12 * v_ref,
+                                "{ctx}: v {v} vs {v_ref}"
+                            );
+                            assert!(
+                                (v - v_raw).abs() <= 1e-10 * v_raw,
+                                "{ctx}: v {v} vs bracketed {v_raw}"
+                            );
+                            assert!(
+                                (i - i_ref).abs() <= 1e-12 * i_ref,
+                                "{ctx}: i {i} vs {i_ref}"
+                            );
+                            assert_eq!(work.fallbacks, 0, "{ctx}");
+                            assert!(work.newton_iters <= u64::from(WARM_NEWTON_BUDGET), "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn guesses_outside_the_bracket_take_the_fallback() {
+        let (p, inst) = nominal();
+        for v_drive in [1.1523, 3.0] {
+            for rho in [1e-3, 0.5, 1.0] {
+                let load = Load::Divider {
+                    v_drive,
+                    r_series: 3.6131e3,
+                };
+                let v_ref = bracketed(&p, &inst, rho, load, v_drive);
+                for guess in [0.0, v_drive, -0.4, f64::NAN] {
+                    let mut work = SolveWork::default();
+                    let (v, i) =
+                        solve_cell(&p, &inst, rho, v_drive, load, guess, &mut work).unwrap();
+                    assert_eq!(work.fallbacks, 1, "guess {guess}");
+                    assert_eq!(work.newton_iters, 0, "guess {guess}");
+                    assert_eq!(v.to_bits(), v_ref.to_bits(), "guess {guess}");
+                    assert_eq!(
+                        i.to_bits(),
+                        model::cell_current(&p, &inst, v_ref, rho).to_bits()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_width_pulses_run_exactly_their_width() {
+        // Below v_rst_floor / v_set_floor the state holds, so the current is
+        // constant and the trapezoid energy is exactly v·i·width. Both
+        // widths are where accumulating `t += dt` overshoots by one step.
+        let (p, inst) = nominal();
+        for (width, dt) in [(60e-6, 2e-9), (100e-9, 1e-9)] {
+            let pulse = StandardResetPulse {
+                v_drive: 0.3,
+                r_series: 3.6131e3,
+                width,
+                dt,
+            };
+            let out = simulate_standard_reset(&p, &inst, &pulse, 1.0, 0.3).unwrap();
+            assert_eq!(out.rho_final, 1.0);
+            let exact = pulse.v_drive * out.i_initial * width;
+            let rel = (out.energy_j - exact).abs() / exact;
+            assert!(rel <= 1e-12, "RESET {width} s at {dt} s: rel {rel:e}");
+
+            let set = SetConditions {
+                v_drive: 0.3,
+                width,
+                dt,
+                rho_start: 0.5,
+                ..SetConditions::paper_defaults()
+            };
+            let out = simulate_set(&p, &inst, &set).unwrap();
+            assert_eq!(out.rho_final, 0.5);
+            let load = Load::Divider {
+                v_drive: set.v_drive,
+                r_series: set.r_series,
+            };
+            let (_, i) = solve_cell(
+                &p,
+                &inst,
+                0.5,
+                set.v_drive,
+                load,
+                0.5 * set.v_drive,
+                &mut SolveWork::default(),
+            )
+            .unwrap();
+            let exact = set.v_drive * i * width;
+            let rel = (out.energy_j - exact).abs() / exact;
+            assert!(rel <= 1e-12, "SET {width} s at {dt} s: rel {rel:e}");
+        }
     }
 
     #[test]

@@ -14,7 +14,8 @@ use crate::params::{InstanceVariation, OxramParams};
 thread_local! {
     // Rising-edge latch for joule-clamp trace instants: `advance_state` runs
     // in tight per-timestep loops, so emit a mark only when a call *enters*
-    // the clamped regime, not on every clamped call.
+    // the clamped regime, not on every clamped call. Touched only while the
+    // tracer is live.
     static JOULE_CLAMPED: Cell<bool> = const { Cell::new(false) };
     // Last dynamics regime seen by this thread (0 hold, 1 SET, 2 RESET);
     // onset instants fire on transitions only, so a multi-µs transient
@@ -80,6 +81,30 @@ pub fn cell_conductance(params: &OxramParams, inst: &InstanceVariation, v: f64, 
     g * (1.0 + 3.0 * s * s) + params.i_leak / params.v_hop * safe_cosh(v / params.v_hop)
 }
 
+/// [`cell_current`] and [`cell_conductance`] from one transcendental call,
+/// for Newton iterations: `cosh` is derived as `sqrt(1 + sinh²)`. The
+/// current is bit-identical to [`cell_current`].
+pub fn current_and_conductance(
+    params: &OxramParams,
+    inst: &InstanceVariation,
+    v: f64,
+    rho: f64,
+) -> (f64, f64) {
+    let g = params.g_on * rho * rho / inst.lx_factor;
+    let s = v / params.v_shape;
+    let x = v / params.v_hop;
+    let (sh, ch) = if x.abs() <= ARG_MAX {
+        let sh = x.sinh();
+        (sh, (1.0 + sh * sh).sqrt())
+    } else {
+        (safe_sinh(x), safe_cosh(x))
+    };
+    (
+        g * v * (1.0 + s * s) + params.i_leak * sh,
+        g * (1.0 + 3.0 * s * s) + params.i_leak / params.v_hop * ch,
+    )
+}
+
 /// Low-field read resistance at `v_read` (Ω).
 ///
 /// # Panics
@@ -119,9 +144,24 @@ pub fn tau_reset(params: &OxramParams, inst: &InstanceVariation, v: f64) -> f64 
 pub fn advance_state(
     params: &OxramParams,
     inst: &InstanceVariation,
+    rho: f64,
+    v: f64,
+    dt: f64,
+) -> f64 {
+    advance_state_from(params, inst, rho, v, dt, None)
+}
+
+/// [`advance_state`] for a caller that already holds the cell current
+/// `I(−v, ρ)` at the starting state: a RESET reuses it for its first
+/// sub-step instead of evaluating the conduction law again.
+/// [`advance_state`] passes `None`, which evaluates it.
+pub(crate) fn advance_state_from(
+    params: &OxramParams,
+    inst: &InstanceVariation,
     mut rho: f64,
     v: f64,
     dt: f64,
+    mut i_known: Option<f64>,
 ) -> f64 {
     if dt <= 0.0 {
         return rho;
@@ -170,7 +210,10 @@ pub fn advance_state(
         let mut floored = false;
         while remaining > 0.0 {
             let shape = rho.powf(params.beta_rst).max(1e-12);
-            let i_mag = cell_current(params, inst, -v, rho).abs();
+            let i_mag = i_known
+                .take()
+                .unwrap_or_else(|| cell_current(params, inst, -v, rho))
+                .abs();
             let joule_raw = 1.0 + (i_mag / params.i_joule).powi(2);
             if joule_raw > 1e6 {
                 joule_clamps += 1;
@@ -188,15 +231,18 @@ pub fn advance_state(
         }
         let tel = Telemetry::global();
         tel.add("rram.model.joule_clamps", joule_clamps);
-        let clamped = joule_clamps > 0;
-        if clamped && !JOULE_CLAMPED.with(Cell::get) {
-            Tracer::global().instant(
-                Track::Model,
-                "joule_clamp",
-                &[Arg::u64("substeps", joule_clamps), Arg::f64("v", v)],
-            );
+        let tracer = Tracer::global();
+        if tracer.is_enabled() {
+            let clamped = joule_clamps > 0;
+            if clamped && !JOULE_CLAMPED.with(Cell::get) {
+                tracer.instant(
+                    Track::Model,
+                    "joule_clamp",
+                    &[Arg::u64("substeps", joule_clamps), Arg::f64("v", v)],
+                );
+            }
+            JOULE_CLAMPED.with(|c| c.set(clamped));
         }
-        JOULE_CLAMPED.with(|c| c.set(clamped));
         if floored {
             tel.incr("rram.model.rho_floor_hits");
             Tracer::global().instant(Track::Model, "rho_floor", &[Arg::f64("v", v)]);
@@ -260,6 +306,42 @@ mod tests {
                     "v={v} rho={rho}: {g} vs {g_fd}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn current_and_conductance_match_the_separate_laws() {
+        let (p, i) = nominal();
+        // |v/v_hop| > ARG_MAX at ±20 V exercises the linear continuation.
+        for v in [
+            -20.0, -3.0, -1.2, -0.3, 0.0, 1e-6, 0.05, 0.6, 1.1523, 3.0, 20.0,
+        ] {
+            for rho in [0.0, 1e-6, 1e-3, 0.1, 0.5, 1.0] {
+                let (cur, g) = current_and_conductance(&p, &i, v, rho);
+                assert_eq!(
+                    cur.to_bits(),
+                    cell_current(&p, &i, v, rho).to_bits(),
+                    "v={v} rho={rho}"
+                );
+                let g_ref = cell_conductance(&p, &i, v, rho);
+                assert!(
+                    (g - g_ref).abs() <= 1e-13 * g_ref.abs(),
+                    "v={v} rho={rho}: {g} vs {g_ref}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn known_current_reproduces_advance_state() {
+        let (p, i) = nominal();
+        for (rho, v) in [(1.0, -0.7), (0.4, -1.1), (0.05, -2.5), (0.3, 0.9)] {
+            let known = cell_current(&p, &i, -v, rho);
+            let reused = advance_state_from(&p, &i, rho, v, 2e-9, Some(known));
+            assert_eq!(
+                reused.to_bits(),
+                advance_state(&p, &i, rho, v, 2e-9).to_bits()
+            );
         }
     }
 

@@ -50,7 +50,7 @@ use std::time::Instant;
 pub const N_SHARDS: usize = 16;
 
 /// Number of phases in the catalog (length of [`PhaseId::ALL`]).
-pub const N_PHASES: usize = 13;
+pub const N_PHASES: usize = 14;
 
 /// One phase of the fixed instrumentation catalog.
 ///
@@ -69,8 +69,10 @@ pub enum PhaseId {
     /// One MLC program operation, behavioral or circuit-level
     /// (`mlc/program`).
     MlcProgram,
-    /// The semi-analytic SET/terminated-RESET kernels (`rram/calib`).
-    RramCalib,
+    /// The semi-analytic terminated-RESET kernel (`rram/fast_reset`).
+    RramFastReset,
+    /// The semi-analytic compliance-limited SET kernel (`rram/fast_set`).
+    RramFastSet,
     /// DC operating-point solve, including gmin/source stepping
     /// (`op/solve`).
     OpSolve,
@@ -112,7 +114,8 @@ impl PhaseId {
         PhaseId::McWorkerRun,
         PhaseId::MlcProgram,
         PhaseId::OpSolve,
-        PhaseId::RramCalib,
+        PhaseId::RramFastReset,
+        PhaseId::RramFastSet,
         PhaseId::TranMonitors,
         PhaseId::TranNewton,
         PhaseId::NewtonResidual,
@@ -130,7 +133,8 @@ impl PhaseId {
             PhaseId::McWorkerRun => "mc/worker/run",
             PhaseId::MlcProgram => "mlc/program",
             PhaseId::OpSolve => "op/solve",
-            PhaseId::RramCalib => "rram/calib",
+            PhaseId::RramFastReset => "rram/fast_reset",
+            PhaseId::RramFastSet => "rram/fast_set",
             PhaseId::TranMonitors => "tran/monitors",
             PhaseId::TranNewton => "tran/newton",
             PhaseId::NewtonResidual => "tran/newton/residual",
@@ -150,7 +154,8 @@ impl PhaseId {
             | PhaseId::OpSolve
             | PhaseId::TranRun
             | PhaseId::TranNewton => PhaseRole::Interior,
-            PhaseId::RramCalib
+            PhaseId::RramFastReset
+            | PhaseId::RramFastSet
             | PhaseId::TranMonitors
             | PhaseId::NewtonResidual
             | PhaseId::NewtonSolveLu
@@ -166,14 +171,15 @@ impl PhaseId {
             PhaseId::McWorkerRun => 2,
             PhaseId::MlcProgram => 3,
             PhaseId::OpSolve => 4,
-            PhaseId::RramCalib => 5,
-            PhaseId::TranMonitors => 6,
-            PhaseId::TranNewton => 7,
-            PhaseId::NewtonResidual => 8,
-            PhaseId::NewtonSolveLu => 9,
-            PhaseId::NewtonStamp => 10,
-            PhaseId::TranRun => 11,
-            PhaseId::TranStates => 12,
+            PhaseId::RramFastReset => 5,
+            PhaseId::RramFastSet => 6,
+            PhaseId::TranMonitors => 7,
+            PhaseId::TranNewton => 8,
+            PhaseId::NewtonResidual => 9,
+            PhaseId::NewtonSolveLu => 10,
+            PhaseId::NewtonStamp => 11,
+            PhaseId::TranRun => 12,
+            PhaseId::TranStates => 13,
         }
     }
 }
@@ -687,7 +693,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for _ in 0..500 {
                         let _outer = p.phase(PhaseId::McWorkerRun);
-                        let _inner = p.phase(PhaseId::RramCalib);
+                        let _inner = p.phase(PhaseId::RramFastReset);
                     }
                 })
             })
@@ -697,7 +703,7 @@ mod tests {
         }
         let snap = prof.snapshot();
         assert_eq!(snap.phase(PhaseId::McWorkerRun).unwrap().calls, 4000);
-        assert_eq!(snap.phase(PhaseId::RramCalib).unwrap().calls, 4000);
+        assert_eq!(snap.phase(PhaseId::RramFastReset).unwrap().calls, 4000);
         // Deterministic: a second merge sees the same totals.
         let again = prof.snapshot();
         assert_eq!(snap.phases, again.phases);
@@ -738,13 +744,13 @@ mod tests {
     fn fold_into_exports_profile_counters() {
         let prof = Profiler::enabled();
         {
-            let _g = prof.phase(PhaseId::RramCalib);
+            let _g = prof.phase(PhaseId::RramFastSet);
         }
         let tel = Telemetry::enabled();
         prof.snapshot().fold_into(&tel);
         let report = tel.report();
-        assert_eq!(report.counter("profile.rram.calib.calls"), Some(1));
-        assert!(report.counter("profile.rram.calib.wall_ns").is_some());
+        assert_eq!(report.counter("profile.rram.fast_set.calls"), Some(1));
+        assert!(report.counter("profile.rram.fast_set.wall_ns").is_some());
     }
 
     #[test]

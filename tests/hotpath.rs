@@ -31,7 +31,7 @@ fn solver_work_attributes_to_named_leaf_phases() {
 
     // Fast path: the Monte Carlo volume driver (semi-analytic kernels).
     // Weighted like `repro_all`: MC programs outnumber circuit transients
-    // by orders of magnitude, so the calib leaves dominate the profile.
+    // by orders of magnitude, so the fast-path leaves dominate the profile.
     let params = OxramParams::calibrated();
     let alloc = LevelAllocation::paper_qlc();
     let cond = ProgramConditions::paper();
@@ -51,7 +51,8 @@ fn solver_work_attributes_to_named_leaf_phases() {
     // to the leaves that carry the attribution.
     for id in [
         PhaseId::MlcProgram,
-        PhaseId::RramCalib,
+        PhaseId::RramFastReset,
+        PhaseId::RramFastSet,
         PhaseId::OpSolve,
         PhaseId::TranRun,
         PhaseId::TranNewton,

@@ -86,7 +86,11 @@ fn program_operation_reports_into_the_global_registry() {
     let report = tel.report();
     assert!(report.counter("mlc.program.fast_ops").unwrap_or(0) >= 1);
     assert!(report.counter("rram.termination.runs").unwrap_or(0) >= 1);
-    assert!(report.counter("rram.termination.steps").unwrap_or(0) >= 1);
+    let steps = report.counter("rram.termination.steps").unwrap_or(0);
+    assert!(steps >= 1);
+    // Every step solves the divider at least once from its warm start.
+    let iters = report.counter("rram.divider.newton_iters").unwrap_or(0);
+    assert!(iters >= steps, "{iters} Newton iterates for {steps} steps");
     let latency = report.histogram("rram.termination.latency_s").unwrap();
     assert!(latency.count >= 1);
     assert!(latency.max > 0.0);
