@@ -1,22 +1,27 @@
-//! Comparison of `BENCH_telemetry.json` throughput summaries.
+//! The drift gates: one rule-table comparison of flat summaries.
 //!
-//! The repo commits a baseline `BENCH_telemetry.json`; `repro_all` rewrites
-//! it every run. This module diffs a fresh summary against the committed
-//! baseline so a perf regression fails loudly instead of silently rewriting
-//! the baseline: per-metric deltas, direction-aware judgement (wall time
-//! lower-is-better, throughput higher-is-better, workload counters
-//! informational), and a configurable relative threshold.
+//! Three committed flat `{"key": number, ...}` baselines protect the
+//! reproduction: checklist throughput (`BENCH_telemetry.json`,
+//! `--check-bench`), the per-level resistance distributions of Figs
+//! 11/12 (`--check-levels`) and the per-level energy, latency and
+//! termination savings of Fig 13 (`--check-energy`). [`GATES`] holds one
+//! row per gate with its rule slice; [`compare`] applies a slice to a
+//! baseline and a fresh summary.
 //!
-//! Consumed by the `bench_diff` binary and `repro_all --check-bench`. The
-//! parser is a deliberately minimal flat-JSON reader (string and number
-//! values only) because the workspace carries no serde and the summary
-//! format is fully under our control.
+//! Keys no rule of the gate matches are informational (workload
+//! counters, phase shares, and the `level.*.p50` and `energy.*` rollups
+//! that ride `BENCH_telemetry.json`), and string values are skipped. A
+//! nonzero baseline gates on the relative change; a zero baseline passes
+//! only a fresh zero, except under [`Sense::Higher`], so a failure count
+//! that leaves 0 fails.
+//!
+//! Consumed by `repro_all` and the `bench_diff` binary. The parser is a
+//! deliberately minimal flat-JSON reader (string and number values only)
+//! because the workspace carries no serde and every summary format is
+//! fully under our control.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-
-/// Default relative-change threshold before a delta counts as a regression.
-pub const DEFAULT_THRESHOLD: f64 = 0.25;
 
 /// A value from the flat summary JSON.
 #[derive(Debug, Clone, PartialEq)]
@@ -135,168 +140,265 @@ pub fn parse_flat_json(s: &str) -> Result<BTreeMap<String, BenchValue>, String> 
     }
 }
 
-/// Which way a metric should move to count as an improvement.
+/// Which way a gated statistic may move before it fails.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Wall time, failure counts: growth is a regression.
-    LowerIsBetter,
-    /// Throughput (`*_per_second`): shrinkage is a regression.
-    HigherIsBetter,
-    /// Workload-size counters: reported but never gate.
-    Informational,
+pub enum Sense {
+    /// Wall time, failure counts: growth fails.
+    Lower,
+    /// Throughput: shrinkage fails.
+    Higher,
+    /// Reproducibility statistics: movement either way fails.
+    Both,
 }
 
-/// Classifies a summary key by its suffix conventions.
-pub fn direction_for(key: &str) -> Direction {
-    if key.ends_with("_per_second") {
-        Direction::HigherIsBetter
-    } else if key == "wall_seconds" || key.contains("failures") {
-        Direction::LowerIsBetter
-    } else {
-        Direction::Informational
-    }
+/// One row of a gate's rule table.
+#[derive(Debug, Clone, Copy)]
+pub struct Rule {
+    /// Selects the summary keys this rule gates (first match wins).
+    pub matches: fn(&str) -> bool,
+    /// The direction that counts as a failure.
+    pub sense: Sense,
+    /// Relative change tolerated in the failing direction (fraction).
+    pub tol: f64,
+    /// Whether a key present on only one side fails the gate.
+    pub missing_fails: bool,
 }
 
-/// One compared metric.
+/// One drift gate: the flag that requests it, the committed baseline it
+/// compares against and the rules it applies.
+#[derive(Debug, Clone, Copy)]
+pub struct Gate {
+    /// Command-line flag of `repro_all`.
+    pub flag: &'static str,
+    /// Short name prefixed to every report line.
+    pub label: &'static str,
+    /// Committed baseline, relative to the repository root.
+    pub baseline: &'static str,
+    /// The flag that re-blesses the baseline (`None`: rewritten every run).
+    pub bless: Option<&'static str>,
+    /// The rule table.
+    pub rules: &'static [Rule],
+}
+
+/// Checklist throughput against `BENCH_telemetry.json`, which every
+/// `repro_all` run rewrites.
+pub const BENCH_GATE: Gate = Gate {
+    flag: "--check-bench",
+    label: "bench",
+    baseline: "BENCH_telemetry.json",
+    bless: None,
+    rules: &[
+        Rule {
+            matches: |k| k.ends_with("_per_second"),
+            sense: Sense::Higher,
+            tol: 0.25,
+            missing_fails: false,
+        },
+        Rule {
+            matches: |k| k == "wall_seconds" || k.contains("failures"),
+            sense: Sense::Lower,
+            tol: 0.25,
+            missing_fails: false,
+        },
+    ],
+};
+
+/// Per-level resistance distributions against the committed baseline.
+pub const LEVELS_GATE: Gate = Gate {
+    flag: "--check-levels",
+    label: "levels",
+    baseline: "results/levels_baseline.json",
+    bless: Some("--save-levels-baseline"),
+    rules: &[Rule {
+        matches: |k| {
+            k.starts_with("level.")
+                && matches!(k.rsplit('.').next(), Some("p01" | "p50" | "p99" | "sigma"))
+        },
+        sense: Sense::Both,
+        tol: 0.05,
+        missing_fails: true,
+    }],
+};
+
+/// Per-level energy, latency and savings against the committed baseline.
+pub const ENERGY_GATE: Gate = Gate {
+    flag: "--check-energy",
+    label: "energy",
+    baseline: "results/energy_baseline.json",
+    bless: Some("--save-energy-baseline"),
+    rules: &[Rule {
+        matches: |k| {
+            k.starts_with("energy.")
+                && matches!(
+                    k.rsplit('.').next(),
+                    Some("mean_j" | "p50_j" | "mean_latency_s" | "p50_latency_s" | "saved_j")
+                )
+        },
+        sense: Sense::Both,
+        tol: 0.05,
+        missing_fails: true,
+    }],
+};
+
+/// Every gate `repro_all` knows.
+pub const GATES: &[Gate] = &[BENCH_GATE, LEVELS_GATE, ENERGY_GATE];
+
+/// One gated statistic.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MetricDelta {
+pub struct Delta {
     /// Summary key.
     pub key: String,
-    /// Baseline value (`None` when the metric is new).
+    /// Baseline value (`None` when the key is new).
     pub baseline: Option<f64>,
-    /// Fresh value (`None` when the metric disappeared).
+    /// Fresh value (`None` when the key disappeared).
     pub fresh: Option<f64>,
     /// Relative change `(fresh − baseline) / baseline`, when both exist
     /// and the baseline is nonzero.
-    pub rel_change: Option<f64>,
-    /// Gate direction for this key.
-    pub direction: Direction,
-    /// Whether this delta exceeds the threshold in the bad direction.
-    pub regressed: bool,
+    pub rel: Option<f64>,
+    /// The gating rule's direction.
+    pub sense: Sense,
+    /// The gating rule's tolerance (fraction).
+    pub tol: f64,
+    /// Whether this statistic fails the gate.
+    pub failed: bool,
 }
 
-/// Diffs two parsed summaries; `threshold` is the relative change past
-/// which a gated metric counts as regressed.
-pub fn compare(
-    baseline: &BTreeMap<String, BenchValue>,
-    fresh: &BTreeMap<String, BenchValue>,
-    threshold: f64,
-) -> Vec<MetricDelta> {
-    let num = |m: &BTreeMap<String, BenchValue>, k: &str| match m.get(k) {
-        Some(BenchValue::Num(v)) => Some(*v),
-        _ => None,
-    };
-    let mut keys: Vec<&String> = baseline.keys().chain(fresh.keys()).collect();
-    keys.sort();
-    keys.dedup();
-    keys.into_iter()
-        .filter(|k| {
-            matches!(baseline.get(*k), Some(BenchValue::Num(_)) | None)
-                && matches!(fresh.get(*k), Some(BenchValue::Num(_)) | None)
-        })
-        .map(|k| {
-            let b = num(baseline, k);
-            let f = num(fresh, k);
-            let rel = match (b, f) {
-                (Some(b), Some(f)) if b.abs() > 1e-12 => Some((f - b) / b),
-                _ => None,
-            };
-            let direction = direction_for(k);
-            let regressed = match (rel, direction) {
-                (Some(r), Direction::LowerIsBetter) => r > threshold,
-                (Some(r), Direction::HigherIsBetter) => r < -threshold,
-                _ => false,
-            };
-            MetricDelta {
-                key: k.clone(),
-                baseline: b,
-                fresh: f,
-                rel_change: rel,
-                direction,
-                regressed,
-            }
-        })
-        .collect()
+/// Every gated statistic of one comparison, key-sorted.
+#[derive(Debug, Clone)]
+pub struct Verdict {
+    /// Gated deltas; informational keys are not listed.
+    pub deltas: Vec<Delta>,
 }
 
-/// Renders the comparison as an aligned text table.
-pub fn render(deltas: &[MetricDelta]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<32} {:>14} {:>14} {:>9}  status",
-        "metric", "baseline", "fresh", "change"
-    );
-    for d in deltas {
-        let fmt = |v: Option<f64>| v.map_or("—".to_string(), |v| format!("{v:.4}"));
-        let change = d
-            .rel_change
-            .map_or("—".to_string(), |r| format!("{:+.1}%", r * 100.0));
-        let status = if d.regressed {
-            "REGRESSED"
-        } else {
-            match d.direction {
-                Direction::Informational => "info",
-                _ => "ok",
-            }
-        };
-        let _ = writeln!(
-            out,
-            "{:<32} {:>14} {:>14} {:>9}  {}",
-            d.key,
-            fmt(d.baseline),
-            fmt(d.fresh),
-            change,
-            status
-        );
-    }
-    out
-}
-
-/// Loads, diffs and renders two summary files; returns the report and
-/// whether any gated metric regressed.
+/// Compares a fresh flat summary against its baseline under `rules`.
 ///
 /// # Errors
 ///
-/// Propagates file-read and parse failures with the offending path.
-pub fn diff_files(
-    baseline_path: &str,
-    fresh_path: &str,
-    threshold: f64,
-) -> Result<(String, bool), String> {
-    let load = |path: &str| -> Result<BTreeMap<String, BenchValue>, String> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("could not read {path}: {e}"))?;
-        parse_flat_json(&text).map_err(|e| format!("could not parse {path}: {e}"))
+/// Returns the flat-JSON parse error, naming the offending side.
+pub fn compare(baseline: &str, fresh: &str, rules: &[Rule]) -> Result<Verdict, String> {
+    let base = parse_flat_json(baseline).map_err(|e| format!("baseline: {e}"))?;
+    let fresh = parse_flat_json(fresh).map_err(|e| format!("fresh: {e}"))?;
+    // `Err` marks a string value: such keys are skipped.
+    let num = |m: &BTreeMap<String, BenchValue>, k: &str| match m.get(k) {
+        Some(BenchValue::Num(v)) => Ok(Some(*v)),
+        Some(BenchValue::Str(_)) => Err(()),
+        None => Ok(None),
     };
-    let baseline = load(baseline_path)?;
-    let fresh = load(fresh_path)?;
-    let deltas = compare(&baseline, &fresh, threshold);
-    let regressed = deltas.iter().any(|d| d.regressed);
-    let mut report = render(&deltas);
-    let _ = writeln!(
-        report,
-        "\nthreshold ±{:.0}% on gated metrics: {}",
-        threshold * 100.0,
-        if regressed {
-            "REGRESSION detected"
-        } else {
-            "no regression"
+    let keys: BTreeSet<&String> = base.keys().chain(fresh.keys()).collect();
+    let deltas = keys
+        .into_iter()
+        .filter_map(|k| {
+            let rule = rules.iter().find(|r| (r.matches)(k))?;
+            let (Ok(b), Ok(f)) = (num(&base, k), num(&fresh, k)) else {
+                return None;
+            };
+            let (rel, failed) = match (b, f) {
+                (Some(b), Some(f)) if b != 0.0 => {
+                    let r = (f - b) / b;
+                    let failed = match rule.sense {
+                        Sense::Lower => r > rule.tol,
+                        Sense::Higher => r < -rule.tol,
+                        Sense::Both => r.abs() > rule.tol,
+                    };
+                    (Some(r), failed)
+                }
+                (Some(_), Some(f)) => (None, f != 0.0 && rule.sense != Sense::Higher),
+                _ => (None, rule.missing_fails),
+            };
+            Some(Delta {
+                key: k.clone(),
+                baseline: b,
+                fresh: f,
+                rel,
+                sense: rule.sense,
+                tol: rule.tol,
+                failed,
+            })
+        })
+        .collect();
+    Ok(Verdict { deltas })
+}
+
+impl Verdict {
+    /// The statistics that fail the gate.
+    #[must_use]
+    pub fn failed(&self) -> Vec<&Delta> {
+        self.deltas.iter().filter(|d| d.failed).collect()
+    }
+
+    /// The worst failure by absolute relative change; a missing key or a
+    /// zero baseline outranks any finite change.
+    #[must_use]
+    pub fn worst(&self) -> Option<&Delta> {
+        let mag = |d: &Delta| d.rel.map_or(f64::INFINITY, f64::abs);
+        self.failed()
+            .into_iter()
+            .max_by(|a, b| mag(a).total_cmp(&mag(b)))
+    }
+
+    /// Report block: one line per failing statistic, then a verdict line
+    /// naming the worst key (and its level, for per-level keys).
+    #[must_use]
+    pub fn render(&self, label: &str) -> String {
+        let failed = self.failed();
+        let Some(worst) = self.worst() else {
+            return format!(
+                "{label}: OK ({} gated statistics within tolerance)\n",
+                self.deltas.len()
+            );
+        };
+        let mut out = String::new();
+        for d in &failed {
+            let limit = match d.sense {
+                Sense::Lower => "+",
+                Sense::Higher => "-",
+                Sense::Both => "±",
+            };
+            let what = match (d.baseline, d.fresh, d.rel) {
+                (Some(b), Some(f), Some(r)) => format!(
+                    "{b:.4e} -> {f:.4e} ({:+.2}%, limit {limit}{:.0}%)",
+                    r * 100.0,
+                    d.tol * 100.0
+                ),
+                (Some(b), Some(f), None) => format!("{b:.4e} -> {f:.4e} (zero baseline)"),
+                (None, _, _) => "missing from baseline".to_string(),
+                (Some(_), None, _) => "missing from fresh run".to_string(),
+            };
+            let _ = writeln!(out, "{label}: DRIFT {}: {what}", d.key);
         }
-    );
-    Ok((report, regressed))
+        // Per-level keys read `<prefix>.<binary code>.<statistic>`.
+        let level = worst
+            .key
+            .split('.')
+            .nth(1)
+            .filter(|c| !c.is_empty() && c.bytes().all(|b| matches!(b, b'0' | b'1')));
+        let _ = writeln!(
+            out,
+            "{label}: FAIL — {} ({} of {} gated statistics out of tolerance)",
+            match level {
+                Some(code) => format!("worst-drifting level: {code}, key {}", worst.key),
+                None => format!("worst-drifting key: {}", worst.key),
+            },
+            failed.len(),
+            self.deltas.len()
+        );
+        out
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn summary(wall: f64, nps: f64) -> BTreeMap<String, BenchValue> {
-        parse_flat_json(&format!(
+    fn summary(wall: f64, nps: f64) -> String {
+        format!(
             "{{\"bench\": \"repro_all\", \"wall_seconds\": {wall}, \
              \"newton_iterations_per_second\": {nps}, \"mc_runs\": 120}}"
-        ))
-        .unwrap()
+        )
+    }
+
+    fn bench(baseline: &str, fresh: &str) -> Verdict {
+        compare(baseline, fresh, BENCH_GATE.rules).expect("comparable")
     }
 
     #[test]
@@ -341,49 +443,79 @@ mod tests {
 
     #[test]
     fn within_threshold_passes() {
-        let deltas = compare(&summary(10.0, 1000.0), &summary(11.0, 950.0), 0.25);
-        assert!(!deltas.iter().any(|d| d.regressed));
+        let v = bench(&summary(10.0, 1000.0), &summary(11.0, 950.0));
+        assert!(v.failed().is_empty());
     }
 
     #[test]
     fn slow_wall_time_regresses() {
-        let deltas = compare(&summary(10.0, 1000.0), &summary(14.0, 1000.0), 0.25);
-        let wall = deltas.iter().find(|d| d.key == "wall_seconds").unwrap();
-        assert!(wall.regressed);
+        let v = bench(&summary(10.0, 1000.0), &summary(14.0, 1000.0));
+        let wall = v.deltas.iter().find(|d| d.key == "wall_seconds").unwrap();
+        assert!(wall.failed);
     }
 
     #[test]
     fn throughput_drop_regresses_but_gain_does_not() {
-        let drop = compare(&summary(10.0, 1000.0), &summary(10.0, 600.0), 0.25);
-        assert!(drop.iter().any(|d| d.regressed));
-        let gain = compare(&summary(10.0, 1000.0), &summary(10.0, 2000.0), 0.25);
-        assert!(!gain.iter().any(|d| d.regressed));
+        let drop = bench(&summary(10.0, 1000.0), &summary(10.0, 600.0));
+        assert!(!drop.failed().is_empty());
+        let gain = bench(&summary(10.0, 1000.0), &summary(10.0, 2000.0));
+        assert!(gain.failed().is_empty());
     }
 
     #[test]
     fn workload_counters_are_informational() {
-        assert_eq!(direction_for("mc_runs"), Direction::Informational);
-        assert_eq!(direction_for("wall_seconds"), Direction::LowerIsBetter);
-        assert_eq!(
-            direction_for("mc_runs_per_second"),
-            Direction::HigherIsBetter
-        );
-        assert_eq!(
-            direction_for("mc_convergence_failures"),
-            Direction::LowerIsBetter
-        );
+        let sense = |k: &str| {
+            let rule = BENCH_GATE.rules.iter().find(|r| (r.matches)(k));
+            rule.map(|r| r.sense)
+        };
+        assert_eq!(sense("mc_runs"), None);
+        assert_eq!(sense("wall_seconds"), Some(Sense::Lower));
+        assert_eq!(sense("mc_runs_per_second"), Some(Sense::Higher));
+        assert_eq!(sense("mc_convergence_failures"), Some(Sense::Lower));
     }
 
     #[test]
     fn missing_metrics_never_gate() {
-        let mut fresh = summary(10.0, 1000.0);
-        fresh.insert("brand_new_per_second".to_string(), BenchValue::Num(5.0));
-        let deltas = compare(&summary(10.0, 1000.0), &fresh, 0.25);
-        let new = deltas
+        let fresh = summary(10.0, 1000.0).replacen('{', "{\"brand_new_per_second\": 5.0, ", 1);
+        let v = bench(&summary(10.0, 1000.0), &fresh);
+        let new = v
+            .deltas
             .iter()
             .find(|d| d.key == "brand_new_per_second")
             .unwrap();
-        assert!(!new.regressed);
+        assert!(!new.failed);
         assert_eq!(new.baseline, None);
+    }
+
+    #[test]
+    fn zero_baseline_failure_count_regresses() {
+        let counts =
+            |n: u32| format!("{{\"wall_seconds\": 4.0, \"mc_convergence_failures\": {n}}}");
+        let v = bench(&counts(0), &counts(57));
+        let failures = &v.failed()[0];
+        assert_eq!(failures.key, "mc_convergence_failures");
+        let rendered = v.render("bench");
+        assert!(rendered.contains("0.0000e0 -> 5.7000e1"), "{rendered}");
+        assert!(!rendered.contains("missing"), "{rendered}");
+        assert!(bench(&counts(0), &counts(0)).failed().is_empty());
+        // A zero throughput baseline cannot regress upwards.
+        let nps = |n: u32| format!("{{\"mc_runs_per_second\": {n}}}");
+        assert!(bench(&nps(0), &nps(400)).failed().is_empty());
+    }
+
+    #[test]
+    fn gates_only_apply_their_own_rules() {
+        let shaped = |p50: f64| {
+            format!(
+                "{{\"bench\": \"repro_all\", \"wall_seconds\": 4.0, \
+                 \"mc_runs_per_second\": 400.0, \"mc_convergence_failures\": 0, \
+                 \"phase_share.rram/calib\": 0.99, \"level.0001.p50\": {p50}, \
+                 \"energy.mean_reset_j\": 3.4e-11}}"
+            )
+        };
+        let (base, fresh) = (shaped(39640.9), shaped(39640.9 * 1.10));
+        assert!(bench(&base, &fresh).failed().is_empty());
+        let levels = compare(&base, &fresh, LEVELS_GATE.rules).expect("comparable");
+        assert_eq!(levels.worst().expect("drifted").key, "level.0001.p50");
     }
 }

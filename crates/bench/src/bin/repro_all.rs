@@ -14,52 +14,41 @@
 //! additionally prints the full metric table, and `--telemetry=json` dumps
 //! the whole run report to `results/telemetry_repro_all.json`.
 //!
-//! Perf-trajectory flags on top of the shared telemetry CLI:
+//! Flags on top of the shared telemetry CLI:
 //!
-//! * `--check-bench[=PCT]` — diff the fresh summary against the committed
-//!   `BENCH_telemetry.json` baseline and fail the run on a gated
-//!   regression beyond `PCT` percent (default 25); phase-share drifts are
-//!   reported with the diff so a regression names the phase that moved.
+//! * `--check-bench`, `--check-levels`, `--check-energy` — the drift
+//!   gates of [`oxterm_bench::bench_diff::GATES`]. Each snapshots its
+//!   committed baseline (`BENCH_telemetry.json`,
+//!   `results/levels_baseline.json`, `results/energy_baseline.json`)
+//!   before the run, compares this run's flat summary against it under
+//!   the gate's rule table (throughput ±25% one-sided; per-level
+//!   quantiles, sigmas, energies, latencies and savings ±5% two-sided)
+//!   and fails the run on drift, naming the worst key and level. The
+//!   bench gate also names the phase whose wall-time share grew most.
+//! * `--save-levels-baseline`, `--save-energy-baseline` — overwrite the
+//!   committed baseline with this run's flat summary (the blessing step
+//!   after an intentional model or allocation change).
 //! * `--bench-history[=PATH]` — append the fresh summary (stamped with the
 //!   git revision) to the JSONL trajectory (default `BENCH_history.jsonl`)
 //!   and print the recent tail.
-//! * `--check-levels[=PCT]` — compare the streaming per-level
-//!   distribution report against the committed
-//!   `results/levels_baseline.json` and fail the run when any level
-//!   quantile or sigma moves more than `PCT` percent in *either*
-//!   direction (default 5); the report names the worst-drifting level.
-//! * `--save-levels-baseline` — overwrite the committed baseline with
-//!   this run's flat level summary (the blessing step after an
-//!   intentional model or allocation change).
 //!
 //! The nested `oxterm-levels/1` artifact is always written to
-//! `results/levels_repro_all.json`, and the flat summary gains
-//! `level.<code>.p50` / `levels.worst_*` keys so the perf-history
-//! trajectory carries the distribution story too.
-//!
-//! The energy story rides the same rails:
-//!
-//! * `--check-energy[=PCT]` — compare the streaming per-level
-//!   energy/latency report against the committed
-//!   `results/energy_baseline.json` and fail the run when any gated
-//!   statistic moves more than `PCT` percent in either direction
-//!   (default 5).
-//! * `--save-energy-baseline` — bless this run's flat energy summary as
-//!   the committed baseline.
-//!
-//! The nested `oxterm-energy/1` artifact (per-level energy/latency,
-//! termination savings vs the worst-case open-loop pulse, and role×phase
-//! attribution) is always written to `results/energy_repro_all.json`, and
-//! the bench summary gains informational `energy.*` rollup keys.
+//! `results/levels_repro_all.json`, and the nested `oxterm-energy/1`
+//! artifact (per-level energy/latency, termination savings vs the
+//! worst-case open-loop pulse, and role×phase attribution) to
+//! `results/energy_repro_all.json`. The bench summary gains
+//! informational `level.<code>.p50`, `levels.worst_*` and `energy.*`
+//! rollup keys so the perf-history trajectory carries both stories.
 
 use oxterm_array::cycling::{cycle_array, CyclingConfig};
+use oxterm_bench::bench_diff::{
+    compare, parse_flat_json, BenchValue, Gate, ENERGY_GATE, GATES, LEVELS_GATE,
+};
 use oxterm_bench::bench_history;
 use oxterm_bench::campaigns::{mc_campaign, supervised_qlc_campaign};
-use oxterm_bench::energy_report::{
-    compare_energy, EnergyReport, WorstCaseBaseline, DEFAULT_ENERGY_DRIFT_FRAC,
-};
+use oxterm_bench::energy_report::{EnergyReport, WorstCaseBaseline};
 use oxterm_bench::hotpath::matrix_stats;
-use oxterm_bench::levels_report::{compare_levels, LevelReport, DEFAULT_DRIFT_FRAC};
+use oxterm_bench::levels_report::LevelReport;
 use oxterm_bench::table::{eng, Table};
 use oxterm_bench::telemetry_cli;
 use oxterm_mlc::levels::LevelAllocation;
@@ -104,47 +93,16 @@ fn main() {
     // (energy, latency) observation per successful program feed it; the
     // energy artifact and the --check-energy gate read it back at exit.
     JouleLedger::install(JouleLedger::enabled());
-    // `--check-bench[=PCT]`: snapshot the committed baseline before this
-    // run overwrites it, then gate the exit status on the throughput diff
-    // (PCT is the relative-change threshold in percent, default 25).
-    let check_bench = parse_check_bench(&mut args).unwrap_or_else(|e| {
-        eprintln!("repro_all: {e}");
-        std::process::exit(2);
-    });
-    let baseline = check_bench
-        .is_some()
-        .then(|| std::fs::read_to_string("BENCH_telemetry.json").ok())
-        .flatten();
-    // `--check-levels[=PCT]`: snapshot the committed distribution
-    // baseline before `--save-levels-baseline` could overwrite it.
-    let check_levels = parse_check_levels(&mut args).unwrap_or_else(|e| {
-        eprintln!("repro_all: {e}");
-        std::process::exit(2);
-    });
-    let save_levels = {
-        let found = args.iter().any(|a| a == "--save-levels-baseline");
-        args.retain(|a| a != "--save-levels-baseline");
-        found
-    };
-    let levels_baseline = check_levels
-        .is_some()
-        .then(|| std::fs::read_to_string(LEVELS_BASELINE_PATH).ok())
-        .flatten();
-    // `--check-energy[=PCT]` / `--save-energy-baseline`: same contract as
-    // the levels gate, over the joule ledger's flat summary.
-    let check_energy = parse_check_energy(&mut args).unwrap_or_else(|e| {
-        eprintln!("repro_all: {e}");
-        std::process::exit(2);
-    });
-    let save_energy = {
-        let found = args.iter().any(|a| a == "--save-energy-baseline");
-        args.retain(|a| a != "--save-energy-baseline");
-        found
-    };
-    let energy_baseline = check_energy
-        .is_some()
-        .then(|| std::fs::read_to_string(ENERGY_BASELINE_PATH).ok())
-        .flatten();
+    // `--check-bench` / `--check-levels` / `--check-energy`: snapshot each
+    // requested gate's committed baseline before this run (or a
+    // `--save-*-baseline` blessing) overwrites it.
+    let gates: Vec<(&Gate, Option<String>)> = GATES
+        .iter()
+        .filter(|g| take_flag(&mut args, g.flag))
+        .map(|g| (g, std::fs::read_to_string(g.baseline).ok()))
+        .collect();
+    let [save_levels, save_energy] =
+        [LEVELS_GATE, ENERGY_GATE].map(|g| g.bless.is_some_and(|f| take_flag(&mut args, f)));
     // `--bench-history[=PATH]`: append this run's summary to the JSONL
     // perf trajectory.
     let history_to = parse_bench_history(&mut args);
@@ -374,8 +332,8 @@ fn main() {
     if let Some(report) = &level_report {
         write_results_file("results/levels_repro_all.json", &report.to_json());
         if save_levels {
-            write_results_file(LEVELS_BASELINE_PATH, &report.to_flat_json());
-            println!("levels baseline blessed at {LEVELS_BASELINE_PATH}");
+            write_results_file(LEVELS_GATE.baseline, &report.to_flat_json());
+            println!("levels baseline blessed at {}", LEVELS_GATE.baseline);
         }
     }
     // Streaming energy/latency report: the Fig 13/14 story (per-level
@@ -390,8 +348,8 @@ fn main() {
         print!("{}", report.to_table());
         write_results_file("results/energy_repro_all.json", &report.to_json());
         if save_energy {
-            write_results_file(ENERGY_BASELINE_PATH, &report.to_flat_json());
-            println!("energy baseline blessed at {ENERGY_BASELINE_PATH}");
+            write_results_file(ENERGY_GATE.baseline, &report.to_flat_json());
+            println!("energy baseline blessed at {}", ENERGY_GATE.baseline);
         }
     }
     let summary = write_bench_summary(
@@ -399,17 +357,15 @@ fn main() {
         level_report.as_ref(),
         energy_report.as_ref(),
     );
-    let bench_ok = check_bench_baseline(check_bench, baseline.as_deref());
-    let levels_ok = check_levels_baseline(
-        check_levels,
-        levels_baseline.as_deref(),
-        level_report.as_ref(),
-    );
-    let energy_ok = check_energy_baseline(
-        check_energy,
-        energy_baseline.as_deref(),
-        energy_report.as_ref(),
-    );
+    let mut gates_ok = true;
+    for (gate, baseline) in &gates {
+        let fresh = match gate.label {
+            "bench" => Some(summary.clone()),
+            "levels" => level_report.as_ref().map(LevelReport::to_flat_json),
+            _ => energy_report.as_ref().map(EnergyReport::to_flat_json),
+        };
+        gates_ok &= check_gate(gate, baseline.as_deref(), fresh.as_deref());
+    }
     if let Some(path) = &history_to {
         match bench_history::append_history(path, &summary, bench_history::git_rev().as_deref()) {
             Ok(()) => {
@@ -425,11 +381,7 @@ fn main() {
     tel_cli.finish();
     // Anchor/bench failures dominate; otherwise the supervised campaign's
     // code reports graceful degradation (3) or a quorum breach (1).
-    let mut code = if all_pass && bench_ok && levels_ok && energy_ok {
-        0
-    } else {
-        1
-    };
+    let mut code = if all_pass && gates_ok { 0 } else { 1 };
     if code == 0 {
         if let Some((_, outcome)) = &supervision {
             code = outcome.exit_code();
@@ -438,83 +390,11 @@ fn main() {
     std::process::exit(code);
 }
 
-/// Parses (and strips) `--check-bench[=PCT]`, returning the relative
-/// threshold as a fraction. `PCT` must be a finite percentage in
-/// `(0, 100]`; anything else is a configuration error.
-fn parse_check_bench(args: &mut Vec<String>) -> Result<Option<f64>, String> {
-    use oxterm_bench::bench_diff::DEFAULT_THRESHOLD;
-    let mut threshold = None;
-    for a in args.iter() {
-        if a == "--check-bench" {
-            threshold = Some(DEFAULT_THRESHOLD);
-        } else if let Some(pct) = a.strip_prefix("--check-bench=") {
-            let v: f64 = pct
-                .parse()
-                .map_err(|_| format!("bad --check-bench percentage {pct:?}"))?;
-            if !v.is_finite() || v <= 0.0 || v > 100.0 {
-                return Err(format!(
-                    "--check-bench percentage must be within (0, 100], got {pct}"
-                ));
-            }
-            threshold = Some(v / 100.0);
-        }
-    }
-    args.retain(|a| a != "--check-bench" && !a.starts_with("--check-bench="));
-    Ok(threshold)
-}
-
-/// Committed distribution baseline (flat `oxterm-levels-flat/1` form).
-const LEVELS_BASELINE_PATH: &str = "results/levels_baseline.json";
-
-/// Parses (and strips) `--check-levels[=PCT]`, returning the two-sided
-/// relative drift threshold as a fraction. `PCT` must be a finite
-/// percentage in `(0, 100]`.
-fn parse_check_levels(args: &mut Vec<String>) -> Result<Option<f64>, String> {
-    let mut threshold = None;
-    for a in args.iter() {
-        if a == "--check-levels" {
-            threshold = Some(DEFAULT_DRIFT_FRAC);
-        } else if let Some(pct) = a.strip_prefix("--check-levels=") {
-            let v: f64 = pct
-                .parse()
-                .map_err(|_| format!("bad --check-levels percentage {pct:?}"))?;
-            if !v.is_finite() || v <= 0.0 || v > 100.0 {
-                return Err(format!(
-                    "--check-levels percentage must be within (0, 100], got {pct}"
-                ));
-            }
-            threshold = Some(v / 100.0);
-        }
-    }
-    args.retain(|a| a != "--check-levels" && !a.starts_with("--check-levels="));
-    Ok(threshold)
-}
-
-/// Committed energy baseline (flat `oxterm-energy-flat/1` form).
-const ENERGY_BASELINE_PATH: &str = "results/energy_baseline.json";
-
-/// Parses (and strips) `--check-energy[=PCT]`, returning the two-sided
-/// relative drift threshold as a fraction. `PCT` must be a finite
-/// percentage in `(0, 100]`.
-fn parse_check_energy(args: &mut Vec<String>) -> Result<Option<f64>, String> {
-    let mut threshold = None;
-    for a in args.iter() {
-        if a == "--check-energy" {
-            threshold = Some(DEFAULT_ENERGY_DRIFT_FRAC);
-        } else if let Some(pct) = a.strip_prefix("--check-energy=") {
-            let v: f64 = pct
-                .parse()
-                .map_err(|_| format!("bad --check-energy percentage {pct:?}"))?;
-            if !v.is_finite() || v <= 0.0 || v > 100.0 {
-                return Err(format!(
-                    "--check-energy percentage must be within (0, 100], got {pct}"
-                ));
-            }
-            threshold = Some(v / 100.0);
-        }
-    }
-    args.retain(|a| a != "--check-energy" && !a.starts_with("--check-energy="));
-    Ok(threshold)
+/// Strips every exact occurrence of `flag`, reporting whether it was given.
+fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
+    let found = args.iter().any(|a| a == flag);
+    args.retain(|a| a != flag);
+    found
 }
 
 /// Parses (and strips) `--bench-history[=PATH]`.
@@ -531,144 +411,68 @@ fn parse_bench_history(args: &mut Vec<String>) -> Option<String> {
     path
 }
 
-/// `--check-bench[=PCT]`: diffs the fresh summary against the pre-run
-/// baseline at the given relative threshold. Returns `false` on a gated
-/// throughput regression. Phase-share drift is reported alongside so a
-/// wall-time regression names the solver phase that moved.
-fn check_bench_baseline(threshold: Option<f64>, baseline: Option<&str>) -> bool {
-    use oxterm_bench::bench_diff::{compare, parse_flat_json, render};
-    let Some(threshold) = threshold else {
-        return true;
+/// Runs one requested gate against its pre-run baseline. Returns `false`
+/// on drift, on a parse error, or when the run produced no fresh summary
+/// to compare (a campaign that feeds no levels or joules is itself a
+/// reproduction break); a missing baseline skips the gate.
+fn check_gate(gate: &Gate, baseline: Option<&str>, fresh: Option<&str>) -> bool {
+    let Some(fresh) = fresh else {
+        eprintln!(
+            "{}: no streaming {} report to compare",
+            gate.flag, gate.label
+        );
+        return false;
     };
     let Some(baseline) = baseline else {
-        println!("\n--check-bench: no committed BENCH_telemetry.json baseline; skipping diff");
+        match gate.bless {
+            Some(bless) => println!(
+                "\n{}: no committed {} baseline; skipping (bless one with {bless})",
+                gate.flag, gate.baseline
+            ),
+            None => println!(
+                "\n{}: no committed {} baseline; skipping diff",
+                gate.flag, gate.baseline
+            ),
+        }
         return true;
     };
-    let parsed = parse_flat_json(baseline).and_then(|base| {
-        let fresh = std::fs::read_to_string("BENCH_telemetry.json")
-            .map_err(|e| format!("could not re-read fresh summary: {e}"))?;
-        Ok((base, parse_flat_json(&fresh)?))
-    });
-    match parsed {
-        Ok((base, fresh)) => {
-            let deltas = compare(&base, &fresh, threshold);
-            let regressed = deltas.iter().any(|d| d.regressed);
-            println!(
-                "\n== bench check (threshold ±{:.0}%) ==\n",
-                threshold * 100.0
-            );
-            print!("{}", render(&deltas));
-            // Name the phase whose wall-time share grew the most — that is
-            // where a wall-clock regression actually lives.
-            let drift = deltas
-                .iter()
-                .filter(|d| d.key.starts_with("phase_share."))
-                .filter_map(|d| match (d.baseline, d.fresh) {
-                    (Some(b), Some(f)) => Some((d.key.as_str(), f - b)),
-                    _ => None,
-                })
-                .max_by(|a, b| a.1.total_cmp(&b.1));
-            match drift {
-                Some((key, pp)) if pp > 0.0 => println!(
-                    "\nlargest phase-share increase: {} (+{:.1} pp)",
-                    key.trim_start_matches("phase_share."),
+    println!("\n== {} check vs {} ==\n", gate.label, gate.baseline);
+    match compare(baseline, fresh, gate.rules) {
+        Ok(verdict) => {
+            print!("{}", verdict.render(gate.label));
+            if let Some((phase, pp)) = largest_phase_share_increase(baseline, fresh) {
+                println!(
+                    "largest phase-share increase: {phase} (+{:.1} pp)",
                     pp * 100.0
-                ),
-                _ => {}
+                );
             }
-            println!(
-                "\nbench check: {}",
-                if regressed {
-                    "REGRESSION vs committed baseline"
-                } else {
-                    "no regression vs committed baseline"
-                }
-            );
-            !regressed
+            verdict.failed().is_empty()
         }
         Err(e) => {
-            eprintln!("--check-bench: {e}");
+            eprintln!("{}: {e}", gate.flag);
             false
         }
     }
 }
 
-/// `--check-levels[=PCT]`: compares the streaming level report against
-/// the pre-run baseline. Returns `false` on drift — or when the gate
-/// was requested but the report could not be built at all (a campaign
-/// that feeds no levels is itself a reproduction break).
-fn check_levels_baseline(
-    threshold: Option<f64>,
-    baseline: Option<&str>,
-    report: Option<&LevelReport>,
-) -> bool {
-    let Some(threshold) = threshold else {
-        return true;
-    };
-    let Some(report) = report else {
-        eprintln!("--check-levels: no streaming level report to compare");
-        return false;
-    };
-    let Some(baseline) = baseline else {
-        println!(
-            "\n--check-levels: no committed {LEVELS_BASELINE_PATH} baseline; skipping \
-             (bless one with --save-levels-baseline)"
-        );
-        return true;
-    };
-    println!(
-        "\n== levels check (two-sided threshold ±{:.1}%) ==\n",
-        threshold * 100.0
+/// The `phase_share.*` key whose wall-time share grew most, when any grew:
+/// that is where a wall-clock regression actually lives.
+fn largest_phase_share_increase(baseline: &str, fresh: &str) -> Option<(String, f64)> {
+    let (base, fresh) = (
+        parse_flat_json(baseline).ok()?,
+        parse_flat_json(fresh).ok()?,
     );
-    match compare_levels(baseline, &report.to_flat_json(), threshold) {
-        Ok(drift) => {
-            println!("{}", drift.render().trim_end());
-            drift.drifted().is_empty()
-        }
-        Err(e) => {
-            eprintln!("--check-levels: {e}");
-            false
-        }
-    }
-}
-
-/// `--check-energy[=PCT]`: compares the streaming energy report against
-/// the pre-run baseline. Returns `false` on drift — or when the gate was
-/// requested but no energy report could be built (a campaign that
-/// integrates no joules is itself a reproduction break).
-fn check_energy_baseline(
-    threshold: Option<f64>,
-    baseline: Option<&str>,
-    report: Option<&EnergyReport>,
-) -> bool {
-    let Some(threshold) = threshold else {
-        return true;
-    };
-    let Some(report) = report else {
-        eprintln!("--check-energy: no streaming energy report to compare");
-        return false;
-    };
-    let Some(baseline) = baseline else {
-        println!(
-            "\n--check-energy: no committed {ENERGY_BASELINE_PATH} baseline; skipping \
-             (bless one with --save-energy-baseline)"
-        );
-        return true;
-    };
-    println!(
-        "\n== energy check (two-sided threshold ±{:.1}%) ==\n",
-        threshold * 100.0
-    );
-    match compare_energy(baseline, &report.to_flat_json(), threshold) {
-        Ok(drift) => {
-            println!("{}", drift.render().trim_end());
-            drift.drifted().is_empty()
-        }
-        Err(e) => {
-            eprintln!("--check-energy: {e}");
-            false
-        }
-    }
+    fresh
+        .iter()
+        .filter_map(|(key, f)| {
+            let phase = key.strip_prefix("phase_share.")?;
+            match (base.get(key)?, f) {
+                (BenchValue::Num(b), BenchValue::Num(f)) => Some((phase.to_string(), f - b)),
+                _ => None,
+            }
+        })
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .filter(|(_, pp)| *pp > 0.0)
 }
 
 /// Writes one artifact under `results/`, creating the directory on

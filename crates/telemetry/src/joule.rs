@@ -25,7 +25,7 @@
 //!
 //! - [`JouleLedger`] is a cheap handle wrapping `Option<Arc<…>>`; the
 //!   disabled handle costs **one branch and zero allocations** per record
-//!   (pinned by `tests/joule_zero_alloc.rs`).
+//!   (pinned by `tests/zero_alloc.rs`).
 //! - Library code reads the process-global handle
 //!   ([`JouleLedger::global`]), armed once by a binary via
 //!   [`JouleLedger::install`]; tests build private handles.

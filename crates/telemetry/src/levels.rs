@@ -14,7 +14,7 @@
 //!
 //! - [`LevelTracker`] is a cheap handle wrapping `Option<Arc<…>>`; the
 //!   disabled handle costs **one branch and zero allocations** per
-//!   observation (pinned by `tests/levels_zero_alloc.rs`).
+//!   observation (pinned by `tests/zero_alloc.rs`).
 //! - Library code reads the process-global handle
 //!   ([`LevelTracker::global`]), armed once by a binary via
 //!   [`LevelTracker::install`] (`--dashboard`, the figure binaries,

@@ -11,8 +11,9 @@
 
 use proptest::prelude::*;
 
+use oxterm_bench::bench_diff::{compare, ENERGY_GATE};
 use oxterm_bench::campaigns::mc_campaign;
-use oxterm_bench::energy_report::{compare_energy, EnergyReport, WorstCaseBaseline, ENERGY_SCHEMA};
+use oxterm_bench::energy_report::{EnergyReport, WorstCaseBaseline, ENERGY_SCHEMA};
 use oxterm_mlc::levels::LevelAllocation;
 use oxterm_rram::params::OxramParams;
 use oxterm_spice::waveform::Waveform;
@@ -100,8 +101,8 @@ fn campaign_feeds_a_complete_energy_report() {
 
     // Drift gate: identical summaries pass; a shifted level fails and is
     // named as the worst offender.
-    let clean = compare_energy(&flat, &flat, 0.05).expect("comparable");
-    assert!(clean.drifted().is_empty(), "{}", clean.render());
+    let clean = compare(&flat, &flat, ENERGY_GATE.rules).expect("comparable");
+    assert!(clean.failed().is_empty(), "{}", clean.render("energy"));
     let mut shifted = report.clone();
     for l in &mut shifted.levels {
         if l.code == 0 {
@@ -109,8 +110,8 @@ fn campaign_feeds_a_complete_energy_report() {
             l.p50_latency_s *= 1.2;
         }
     }
-    let drift = compare_energy(&flat, &shifted.to_flat_json(), 0.05).expect("comparable");
-    assert!(!drift.drifted().is_empty());
+    let drift = compare(&flat, &shifted.to_flat_json(), ENERGY_GATE.rules).expect("comparable");
+    assert!(!drift.failed().is_empty());
     let worst_key = &drift.worst().expect("has offender").key;
     assert!(worst_key.starts_with("energy.0000."), "{worst_key}");
 }

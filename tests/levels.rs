@@ -4,8 +4,9 @@
 //! statistics from streaming state alone, and the drift gate passes a
 //! clean re-run while flagging (and naming) a perturbed level.
 
+use oxterm_bench::bench_diff::{compare, Rule, LEVELS_GATE};
 use oxterm_bench::campaigns::mc_campaign;
-use oxterm_bench::levels_report::{compare_levels, LevelReport, DEFAULT_DRIFT_FRAC};
+use oxterm_bench::levels_report::LevelReport;
 use oxterm_mlc::levels::LevelAllocation;
 use oxterm_rram::params::OxramParams;
 use oxterm_telemetry::LevelTracker;
@@ -98,28 +99,32 @@ fn drift_gate_passes_clean_rerun_and_flags_perturbed_level() {
 
     // Same deterministic feed → identical statistics → OK.
     let clean = local_report(1.0).to_flat_json();
-    let drift = compare_levels(&baseline, &clean, DEFAULT_DRIFT_FRAC).expect("comparable");
-    assert!(drift.drifted().is_empty(), "{}", drift.render());
-    assert!(drift.render().contains("OK"));
+    let drift = compare(&baseline, &clean, LEVELS_GATE.rules).expect("comparable");
+    assert!(drift.failed().is_empty(), "{}", drift.render("levels"));
+    assert!(drift.render("levels").contains("OK"));
 
     // An 8% shift of one level against a 5% gate: flagged, named.
     let perturbed = local_report(1.08).to_flat_json();
-    let drift = compare_levels(&baseline, &perturbed, DEFAULT_DRIFT_FRAC).expect("comparable");
-    assert!(!drift.drifted().is_empty());
+    let drift = compare(&baseline, &perturbed, LEVELS_GATE.rules).expect("comparable");
+    assert!(!drift.failed().is_empty());
     let worst = drift.worst().expect("a worst offender");
     assert!(
         worst.key.starts_with("level.0001."),
         "worst key {}",
         worst.key
     );
-    let rendered = drift.render();
+    let rendered = drift.render("levels");
     assert!(
         rendered.contains("worst-drifting level: 0001"),
         "{rendered}"
     );
 
-    // The same shift sails under a loose 20% gate — the threshold knob
-    // works end to end like `--check-levels=PCT`.
-    let drift = compare_levels(&baseline, &perturbed, 0.20).expect("comparable");
-    assert!(drift.drifted().is_empty(), "{}", drift.render());
+    // The same shift sails under a loose 20% rule — the tolerance in the
+    // rule table is what decides.
+    let loose = [Rule {
+        tol: 0.20,
+        ..LEVELS_GATE.rules[0]
+    }];
+    let drift = compare(&baseline, &perturbed, &loose).expect("comparable");
+    assert!(drift.failed().is_empty(), "{}", drift.render("levels"));
 }

@@ -3,7 +3,7 @@
 //! `cargo xtask bench` runs the standard perf probe: `repro_all` with the
 //! phase profiler armed and the run appended to the `BENCH_history.jsonl`
 //! trajectory. Extra arguments are forwarded to `repro_all` (e.g.
-//! `cargo xtask bench 60 --check-bench=15`).
+//! `cargo xtask bench 60 --check-bench`).
 //!
 //! `cargo xtask lint` enforces source-level invariants the compiler cannot:
 //!
