@@ -59,7 +59,11 @@ fn trip_point(corner: Corner, i_ref: f64) -> f64 {
 }
 
 fn main() {
-    let (_args, tel_cli) = telemetry_cli::init("ablation_corners").unwrap_or_else(|e| {
+    let (args, tel_cli) = telemetry_cli::init("ablation_corners").unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(e.code);
+    });
+    telemetry_cli::no_args("ablation_corners", &args).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(e.code);
     });

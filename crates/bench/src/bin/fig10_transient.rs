@@ -18,7 +18,11 @@ use oxterm_spice::probe::ProbePlan;
 const DEFAULT_PROBES: &str = "v(sl),v(bl_sense),i(vsense)";
 
 fn main() {
-    let (_args, mut tel_cli) = telemetry_cli::init("fig10").unwrap_or_else(|e| {
+    let (args, mut tel_cli) = telemetry_cli::init("fig10").unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(e.code);
+    });
+    telemetry_cli::no_args("fig10", &args).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(e.code);
     });

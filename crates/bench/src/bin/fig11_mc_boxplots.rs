@@ -22,7 +22,7 @@ fn main() {
     });
     // Always arm the streaming level tracker: the batch statistics below
     // are cross-checked against it, so the two paths can never silently
-    // diverge. (A no-op when `--dashboard` already installed it.)
+    // diverge.
     LevelTracker::install(LevelTracker::enabled());
     // The campaign itself runs on the circuit-free fast path; `--probes`
     // captures the designated run 0 — the Fig 10 testbench pulsed at the

@@ -23,7 +23,7 @@ fn main() {
         std::process::exit(e.code);
     });
     // Arm the streaming tracker: the second half of the figure is built
-    // entirely from it. (No-op when `--dashboard` already installed it.)
+    // entirely from it.
     LevelTracker::install(LevelTracker::enabled());
     let runs = telemetry_cli::count_arg("fig12", &args, 500).unwrap_or_else(|e| {
         eprintln!("{e}");

@@ -74,8 +74,8 @@ pub fn mc_campaign(
     // The fallible sweep records any failed run (with its replayable seed)
     // in telemetry before this function panics on it. Successful runs
     // additionally feed the streaming level tracker (one branch when
-    // disarmed), which is where the dashboard and the level report get
-    // their distributions from.
+    // disarmed), which is where the level report gets its
+    // distributions from.
     let results = sweep_mc_try(&levels, MonteCarlo::new(runs, seed), |spec, _, rng| {
         let out = program_cell_mc(params, alloc, spec.code, &cond, &var, rng);
         if let Ok(o) = &out {

@@ -1,10 +1,10 @@
 //! Live campaign progress reporting.
 //!
-//! When enabled (`--progress` on the bench CLIs, or `OXTERM_PROGRESS=1`),
-//! the Monte Carlo engine prints a throttled status line to stderr while a
-//! campaign runs: runs done/total, throughput, ETA, worker utilization,
-//! the live convergence-failure and retry counts, and the per-level and
-//! energy segments when those observers are armed. The reporter is
+//! When enabled (`--progress` on the bench CLIs), the Monte Carlo engine
+//! prints a throttled status line to stderr while a campaign runs: runs
+//! done/total, throughput, ETA, worker utilization, the live
+//! convergence-failure and retry counts, and the per-level and energy
+//! segments when those observers are armed. The reporter is
 //! allocation-free on the per-run path and costs one atomic increment plus
 //! a `try_lock` per tick; when disabled it is a single branch.
 //!
@@ -16,11 +16,10 @@
 //!
 //! [`MonteCarlo::try_run`]: crate::MonteCarlo::try_run
 
-use oxterm_telemetry::joule::{JouleCounts, JouleLedger, JouleSnapshot};
-use oxterm_telemetry::levels::{LevelCounts, LevelTracker, LevelsSnapshot};
+use oxterm_telemetry::joule::{JouleCounts, JouleLedger};
+use oxterm_telemetry::levels::{LevelCounts, LevelTracker};
 use oxterm_telemetry::profiler::monotonic_ns;
 use parking_lot::Mutex;
-use std::io::IsTerminal as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Minimum wall time between status lines, in nanoseconds (timestamps come
@@ -84,20 +83,12 @@ fn last_failure_suffix(failures: u64) -> String {
 #[derive(Debug)]
 pub struct CampaignProgress {
     enabled: bool,
-    /// Render the in-place multi-line dashboard instead of plain lines.
-    /// Requires both the process-wide dashboard switch *and* stderr
-    /// being a TTY — redirected stderr (CI logs) always gets plain
-    /// lines, never ANSI control sequences.
-    dashboard: bool,
     total: usize,
     threads: usize,
     done: AtomicUsize,
     busy_ns: AtomicU64,
     started_ns: u64,
     last_print_ns: Mutex<u64>,
-    /// Lines the previous dashboard frame occupied (0 before the first
-    /// frame), so the next frame knows how far to move the cursor up.
-    panel_height: Mutex<usize>,
 }
 
 impl CampaignProgress {
@@ -110,14 +101,8 @@ impl CampaignProgress {
         RETRIES.store(0, Ordering::Relaxed);
         *LAST_FAILURE.lock() = None;
         let now = monotonic_ns();
-        let enabled = oxterm_telemetry::progress::enabled();
         CampaignProgress {
-            enabled,
-            dashboard: dashboard_mode(
-                enabled,
-                oxterm_telemetry::progress::dashboard(),
-                std::io::stderr().is_terminal(),
-            ),
+            enabled: oxterm_telemetry::progress::enabled(),
             total,
             threads: threads.max(1),
             done: AtomicUsize::new(0),
@@ -125,7 +110,6 @@ impl CampaignProgress {
             started_ns: now,
             // Backdate so the first completed run may print immediately.
             last_print_ns: Mutex::new(now.saturating_sub(THROTTLE_NS)),
-            panel_height: Mutex::new(0),
         }
     }
 
@@ -185,83 +169,11 @@ impl CampaignProgress {
             last,
             &last_failure_suffix(failures),
         );
-        let tracker = LevelTracker::global();
-        let ledger = JouleLedger::global();
-        if self.dashboard {
-            self.draw_panel(&status, &tracker.snapshot(), &ledger.snapshot());
-        } else {
-            eprintln!(
-                "{status}{}{}",
-                compose_level_part(&tracker.counts()),
-                compose_energy_part(&ledger.counts()),
-            );
-        }
-    }
-
-    /// Redraws the multi-line dashboard in place: the status line plus
-    /// one row (count, quantiles, mini-histogram, and — when the joule
-    /// ledger is fed — median energy/latency) per observed level.
-    /// Only ever called on the TTY path.
-    fn draw_panel(&self, status: &str, snap: &LevelsSnapshot, joules: &JouleSnapshot) {
-        use std::fmt::Write as _;
-        let rows = dashboard_rows(snap, joules);
-        let mut height = self.panel_height.lock();
-        let mut out = String::new();
-        if *height > 0 {
-            // Move back to the top of the previous frame.
-            let _ = write!(out, "\x1b[{}A", *height);
-        }
-        let _ = writeln!(out, "\r\x1b[2K{status}");
-        for row in &rows {
-            let _ = writeln!(out, "\x1b[2K{row}");
-        }
-        // A shrinking panel (never expected, but cheap to guard) must
-        // not leave stale rows behind.
-        for _ in rows.len() + 1..*height {
-            out.push_str("\x1b[2K\n");
-        }
-        *height = rows.len() + 1;
-        eprint!("{out}");
-    }
-}
-
-/// Whether the in-place ANSI dashboard should render. Pure so the
-/// fallback contract is unit-testable: a requested dashboard on a
-/// non-TTY stderr (CI logs, redirected output) must degrade to plain
-/// lines, never emit control sequences.
-fn dashboard_mode(progress_enabled: bool, requested: bool, stderr_is_tty: bool) -> bool {
-    progress_enabled && requested && stderr_is_tty
-}
-
-/// Unicode eighth-blocks for the dashboard mini-histograms.
-const SPARK_BLOCKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-
-/// Renders histogram bins as a fixed-width sparkline, scaled to the
-/// fullest bin; empty bins render as spaces so level modes stand out.
-fn sparkline(bins: &[u64]) -> String {
-    let peak = bins.iter().copied().max().unwrap_or(0);
-    bins.iter()
-        .map(|&b| {
-            if b == 0 || peak == 0 {
-                ' '
-            } else {
-                let idx = (b * 8).div_ceil(peak).clamp(1, 8) - 1;
-                SPARK_BLOCKS[idx as usize]
-            }
-        })
-        .collect()
-}
-
-/// Engineering-style resistance label for dashboard rows.
-fn fmt_ohms(v: f64) -> String {
-    if !v.is_finite() {
-        "--".to_string()
-    } else if v.abs() >= 1e6 {
-        format!("{:.2}M", v / 1e6)
-    } else if v.abs() >= 1e3 {
-        format!("{:.1}k", v / 1e3)
-    } else {
-        format!("{v:.0}")
+        eprintln!(
+            "{status}{}{}",
+            compose_level_part(&LevelTracker::global().counts()),
+            compose_energy_part(&JouleLedger::global().counts()),
+        );
     }
 }
 
@@ -281,37 +193,6 @@ fn fmt_si(v: f64) -> String {
     } else {
         format!("{:.1}p", v * 1e12)
     }
-}
-
-/// One dashboard row per observed level: code, observation count,
-/// streaming median and sigma, the mini-histogram, and — when the joule
-/// ledger has samples for the level — the median program energy and
-/// latency.
-fn dashboard_rows(snap: &LevelsSnapshot, joules: &JouleSnapshot) -> Vec<String> {
-    snap.levels
-        .iter()
-        .map(|l| {
-            let mut row = format!(
-                "  {:>6} {:>4.0}uA n {:>6}  p50 {:>7}  sigma {:>7}  |{}|",
-                format!("{:04b}", l.code),
-                l.i_ref * 1e6,
-                l.n,
-                fmt_ohms(l.p50),
-                fmt_ohms(l.std_dev),
-                sparkline(&l.bins),
-            );
-            if let Some(e) = joules.levels.iter().find(|e| e.code == l.code) {
-                use std::fmt::Write as _;
-                let _ = write!(
-                    row,
-                    "  E {:>6}J t {:>6}s",
-                    fmt_si(e.p50_j),
-                    fmt_si(e.p50_latency_s)
-                );
-            }
-            row
-        })
-        .collect()
 }
 
 /// Plain-line suffix with the ledger's running totals (empty while the
@@ -462,19 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn sparkline_scales_to_the_fullest_bin() {
-        let s = sparkline(&[0, 1, 4, 8, 4, 1, 0]);
-        let chars: Vec<char> = s.chars().collect();
-        assert_eq!(chars.len(), 7);
-        assert_eq!(chars[0], ' ');
-        assert_eq!(chars[3], '█');
-        assert!(chars[1] < chars[2], "{s}");
-        // All-empty histograms render as pure whitespace, never panic.
-        assert!(sparkline(&[0, 0, 0]).chars().all(|c| c == ' '));
-        assert_eq!(sparkline(&[]), "");
-    }
-
-    #[test]
     fn level_part_summarises_completion() {
         assert_eq!(compose_level_part(&LevelCounts::default()), "");
         let even = LevelCounts {
@@ -491,39 +359,6 @@ mod tests {
             total: 479,
         };
         assert_eq!(compose_level_part(&ragged), " | levels 16 n 29..31");
-    }
-
-    #[test]
-    fn dashboard_rows_render_each_level_without_ansi() {
-        let tracker = LevelTracker::enabled();
-        for i in 0..40 {
-            tracker.observe(5, 30e-6, 60e3 + i as f64 * 200.0);
-        }
-        let rows = dashboard_rows(&tracker.snapshot(), &JouleLedger::disabled().snapshot());
-        assert_eq!(rows.len(), 1);
-        assert!(rows[0].contains("0101"), "{}", rows[0]);
-        assert!(rows[0].contains("n     40"), "{}", rows[0]);
-        assert!(rows[0].contains("p50"), "{}", rows[0]);
-        // Without joule observations the row carries no energy column.
-        assert!(!rows[0].contains("E "), "{}", rows[0]);
-        // Rows themselves carry no control sequences — the ANSI framing
-        // lives only in the TTY draw path.
-        assert!(!rows[0].contains('\x1b'), "{}", rows[0]);
-    }
-
-    #[test]
-    fn dashboard_rows_append_energy_and_latency_when_fed() {
-        let tracker = LevelTracker::enabled();
-        let ledger = JouleLedger::enabled();
-        for i in 0..40 {
-            tracker.observe(9, 18e-6, 90e3 + i as f64 * 100.0);
-            ledger.observe_level(9, 18e-6, 35e-12, 1.2e-6);
-        }
-        let rows = dashboard_rows(&tracker.snapshot(), &ledger.snapshot());
-        assert_eq!(rows.len(), 1);
-        assert!(rows[0].contains("E  35.0pJ"), "{}", rows[0]);
-        assert!(rows[0].contains("t   1.2us"), "{}", rows[0]);
-        assert!(!rows[0].contains('\x1b'), "{}", rows[0]);
     }
 
     #[test]
@@ -551,16 +386,6 @@ mod tests {
         assert_eq!(fmt_si(2.5e-3), "2.5m");
         assert_eq!(fmt_si(3.0), "3.0");
         assert_eq!(fmt_si(f64::NAN), "--");
-    }
-
-    #[test]
-    fn dashboard_requires_tty_even_when_requested() {
-        // The CI-logs guarantee: a requested dashboard degrades to
-        // plain lines whenever stderr is not a terminal.
-        assert!(!dashboard_mode(true, true, false));
-        assert!(!dashboard_mode(true, false, true));
-        assert!(!dashboard_mode(false, true, true));
-        assert!(dashboard_mode(true, true, true));
     }
 
     #[test]

@@ -85,17 +85,21 @@ fn shipped_netlists_have_no_warnings_either() {
 }
 
 #[test]
-fn experiment_slices_are_nonempty() {
-    for binary in [
-        "fig10_transient",
-        "fig11_mc_boxplots",
-        "fig13_energy_latency",
-        "ablation_corners",
-        "unknown",
+fn corpus_families_are_nonempty() {
+    // `netlint NAME...` selects entries by key substring, so each family
+    // must be present and keyed under its own prefix.
+    for (prefix, entries) in [
+        ("fig10/", corpus::fig10_entries()),
+        ("ladder/", corpus::ladder_entries()),
+        ("ablation/", corpus::ablation_entries()),
     ] {
-        assert!(
-            !corpus::for_experiment(binary).is_empty(),
-            "empty corpus slice for {binary}"
-        );
+        assert!(!entries.is_empty(), "empty corpus family {prefix}");
+        for entry in &entries {
+            assert!(
+                entry.name.starts_with(prefix),
+                "{} not under {prefix}",
+                entry.name
+            );
+        }
     }
 }

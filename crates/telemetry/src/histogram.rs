@@ -13,7 +13,7 @@ const MIN_EXP: i32 = -18;
 /// saturate into the overflow bin.
 const MAX_EXP: i32 = 12;
 /// Number of regular bins.
-const N_BINS: usize = ((MAX_EXP - MIN_EXP) as usize) * SUB_BINS;
+const BIN_COUNT: usize = ((MAX_EXP - MIN_EXP) as usize) * SUB_BINS;
 
 /// A histogram of non-negative magnitudes on a logarithmic grid.
 ///
@@ -23,7 +23,7 @@ const N_BINS: usize = ((MAX_EXP - MIN_EXP) as usize) * SUB_BINS;
 /// separately so a report can flag them.
 #[derive(Debug)]
 pub struct Histogram {
-    bins: Box<[AtomicU64; N_BINS]>,
+    bins: Box<[AtomicU64; BIN_COUNT]>,
     underflow: AtomicU64,
     overflow: AtomicU64,
     count: AtomicU64,
@@ -44,11 +44,11 @@ impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
         // `AtomicU64` is not Copy; build the array through a Vec.
-        let bins: Vec<AtomicU64> = (0..N_BINS).map(|_| AtomicU64::new(0)).collect();
-        let bins: Box<[AtomicU64; N_BINS]> = bins
+        let bins: Vec<AtomicU64> = (0..BIN_COUNT).map(|_| AtomicU64::new(0)).collect();
+        let bins: Box<[AtomicU64; BIN_COUNT]> = bins
             .into_boxed_slice()
             .try_into()
-            .expect("vec sized to N_BINS");
+            .expect("vec sized to BIN_COUNT");
         Histogram {
             bins,
             underflow: AtomicU64::new(0),
@@ -82,7 +82,7 @@ impl Histogram {
             self.underflow.fetch_add(1, Ordering::Relaxed);
         } else {
             let pos = (magnitude.log10() - MIN_EXP as f64) * SUB_BINS as f64;
-            if pos >= N_BINS as f64 {
+            if pos >= BIN_COUNT as f64 {
                 self.overflow.fetch_add(1, Ordering::Relaxed);
             } else {
                 self.bins[pos as usize].fetch_add(1, Ordering::Relaxed);

@@ -28,8 +28,7 @@
 //! campaign progress on stderr. [`profiler`] answers *where inside the
 //! solver*: a fixed catalog of nestable phases (stamp / factorize /
 //! residual / timestep control / MC workers) with self-vs-child wall time
-//! and allocation counts, and [`metrics`] renders the whole registry in
-//! Prometheus text format for `--metrics-out` / `--metrics-listen`.
+//! and allocation counts.
 //! [`postmortem`] owns failure artifacts:
 //! solver layers hand it structured reports on non-convergence, and it is
 //! the only path that writes them to disk (solver crates are lint-banned
@@ -67,7 +66,6 @@ mod histogram;
 pub mod joule;
 mod json;
 pub mod levels;
-pub mod metrics;
 pub mod postmortem;
 pub mod profiler;
 pub mod progress;
@@ -83,7 +81,6 @@ pub use histogram::{Histogram, HistogramSnapshot};
 pub use joule::{DeviceClass, JouleLedger, JouleSnapshot, ProgramPhase, Role};
 pub use json::JsonWriter;
 pub use levels::{LevelCounts, LevelSummary, LevelTracker, LevelsSnapshot};
-pub use metrics::MetricsServer;
 pub use profiler::{PhaseGuard, PhaseId, PhaseRole, PhaseStats, ProfileSnapshot, Profiler};
 pub use registry::Registry;
 pub use report::RunReport;
