@@ -333,6 +333,14 @@ pub fn write_at(path: &str, report: &PostmortemReport) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// `CAPTURE` is process-global and the test harness runs tests on
+    /// parallel threads: every test that flips it holds this lock.
+    fn capture_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     fn sample() -> PostmortemReport {
         let mut r = PostmortemReport::new("tran", "no convergence at t = 1e-6");
@@ -382,6 +390,7 @@ mod tests {
 
     #[test]
     fn inactive_record_is_a_noop() {
+        let _capture = capture_lock();
         // Capture defaults to off in this process unless a test enabled it;
         // force it off for the scope of this check.
         set_capture(false);
@@ -403,6 +412,7 @@ mod tests {
 
     #[test]
     fn deferred_record_stashes_without_writing() {
+        let _capture = capture_lock();
         set_capture(true);
         let was = set_deferred(true);
         let path = record(sample());
@@ -420,6 +430,7 @@ mod tests {
 
     #[test]
     fn capture_without_dir_stores_thread_locally() {
+        let _capture = capture_lock();
         set_capture(true);
         let path = record(sample());
         // No directory configured in unit tests → nothing written.
