@@ -109,11 +109,11 @@ pub fn paper_qlc_campaign(runs: usize) -> Vec<LevelCampaign> {
 
 /// Supervised variant of [`paper_qlc_campaign`]: `runs` programs per QLC
 /// level flattened into one `16 × runs` campaign (run `i` programs level
-/// `i / runs`), executed under [`run_supervised`] so the retry ladder,
+/// `i / runs`), executed under [`run_supervised`] so retries,
 /// panic isolation, checkpoint/resume and quorum bookkeeping cover the
 /// whole figure in a single ledger.
 ///
-/// Runs whose retry ladder is exhausted simply leave a hole in their
+/// Runs that exhaust their attempts simply leave a hole in their
 /// level's sample set; the returned [`CampaignOutcome`] carries the
 /// failure fraction and suggested process exit code. The flat indexing
 /// gives this path its own (fully deterministic) sample streams — it is

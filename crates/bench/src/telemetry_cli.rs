@@ -14,8 +14,8 @@
 //! [`Tracer`] when the flags are present (it must run before any
 //! instrumented work) and strips the flags from the argument list so
 //! positional arguments keep their meaning. Once the binary has stripped
-//! its own flags too, [`count_arg`] reads the leading count and rejects
-//! whatever is left that looks like a flag ([`no_args`] does the same for
+//! its own flags too, [`count_arg`] reads the one optional count and
+//! rejects anything else left over ([`no_args`] does the same for
 //! binaries without a count). `finish` prints the run report and writes
 //! the requested artifacts.
 //!
@@ -220,13 +220,19 @@ pub fn parse_flags(
 /// flags have all been stripped from `args`, or `default` when there is
 /// none.
 ///
-/// A leftover `--`-prefixed argument is a flag no one recognised and an
-/// unparseable count is a typo: both are config errors naming the
-/// argument, so a misspelled `--chekpoint=x` can never quietly run the
-/// default campaign unsupervised.
+/// A leftover `--`-prefixed argument is a flag no one recognised, an
+/// unparseable count is a typo and a second positional is one too many:
+/// all are config errors naming the argument, so a misspelled
+/// `--chekpoint=x` can never quietly run the default campaign
+/// unsupervised.
 pub fn count_arg(name: &str, args: &[String], default: usize) -> Result<usize, CliError> {
     if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
         return Err(CliError::config(format!("{name}: unknown flag {flag:?}")));
+    }
+    if let Some(extra) = args.get(1) {
+        return Err(CliError::config(format!(
+            "{name}: unexpected argument {extra:?}"
+        )));
     }
     match args.first() {
         None => Ok(default),
@@ -625,6 +631,7 @@ mod tests {
             ("--trcae=x.json bogus", "--trcae=x.json"),
             ("--dashboard 200", "--dashboard"),
             ("200 --checkpoint=", "--checkpoint="),
+            ("200 bogus", "bogus"),
         ];
         // Retired flags are unknown flags like any other, and an empty
         // `=VALUE` never reaches the run: each names itself.

@@ -9,10 +9,9 @@
 //!   independent RNG derived from `(seed, run_index)`, so results are
 //!   bit-identical regardless of thread count or scheduling,
 //! * [`sweep`] — parameter sweeps of Monte Carlo campaigns,
-//! * [`supervisor`] — resilient campaign supervision: per-run retry
-//!   ladder with bounded option relaxation, `catch_unwind` panic
-//!   isolation, wall-clock run budgets and graceful degradation under a
-//!   failure quorum,
+//! * [`supervisor`] — resilient campaign supervision: per-run retries on
+//!   re-derived RNG streams, `catch_unwind` panic isolation and graceful
+//!   degradation under a failure quorum,
 //! * [`checkpoint`] — crash-safe campaign snapshots (`f64` bit patterns,
 //!   atomic tmp+rename writes) that `--resume` replays bit-identically.
 //!

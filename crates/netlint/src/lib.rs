@@ -15,7 +15,7 @@
 //!   vs the 3.3 V rail, reference currents vs the ISO-ΔI 6–36 µA ladder,
 //!   MOSFET geometry vs the process minimum, non-finite source levels.
 //! * **`opt/*`** — simulation-option sanity for a planned transient:
-//!   step ceiling vs the shortest source edge, `abstol` vs the smallest
+//!   step ceiling vs the shortest source edge, the fixed `ABSTOL` vs the smallest
 //!   reference current, `t_stop` vs the last source breakpoint.
 //!
 //! Every rule has a default severity ([`Severity::Deny`] or

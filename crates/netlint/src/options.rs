@@ -4,6 +4,7 @@
 use oxterm_devices::sources::{CurrentSource, VoltageSource};
 use oxterm_spice::analysis::tran::TranOptions;
 use oxterm_spice::circuit::Circuit;
+use oxterm_spice::options::ABSTOL;
 
 use crate::{Sink, Span};
 
@@ -88,16 +89,18 @@ pub(crate) fn check(circuit: &Circuit, tran: &TranOptions, sink: &mut Sink<'_>) 
     }
 
     if let Some(i_min) = min_current {
-        if tran.sim.abstol >= 1e-2 * i_min {
+        if ABSTOL >= 1e-2 * i_min {
             sink.emit(
                 "opt/abstol",
                 Span::Option("abstol".to_string()),
                 format!(
-                    "abstol = {:.3e} A is within two decades of the smallest reference \
+                    "abstol = {ABSTOL:.3e} A is within two decades of the smallest reference \
                      current ({i_min:.3e} A); current convergence is unreliable",
-                    tran.sim.abstol
                 ),
-                Some(format!("set abstol at or below {:.3e} A", 1e-3 * i_min)),
+                Some(format!(
+                    "abstol is fixed; keep reference currents at or above {:.3e} A",
+                    1e2 * ABSTOL
+                )),
             );
         }
     }

@@ -2,7 +2,11 @@
 //! exact rule id, and the shipped experiment netlists must lint clean (no
 //! deny findings) — the no-false-positive gate.
 
+use oxterm_devices::passive::Resistor;
+use oxterm_devices::sources::{CurrentSource, SourceWave};
 use oxterm_netlint::{corpus, lint_entry, LintOptions, Severity};
+use oxterm_spice::analysis::tran::TranOptions;
+use oxterm_spice::circuit::Circuit;
 
 fn rule_ids(entry: &corpus::CorpusEntry) -> Vec<&'static str> {
     lint_entry(entry, &LintOptions::default())
@@ -40,6 +44,31 @@ fn out_of_ladder_iref_is_flagged_as_deny() {
 fn coarse_timestep_is_flagged() {
     let ids = rule_ids(&corpus::defect_coarse_timestep());
     assert!(ids.contains(&"opt/coarse-timestep"), "{ids:?}");
+}
+
+#[test]
+fn picoamp_reference_trips_the_fixed_abstol() {
+    // 50 pA sits within two decades of the fixed 1 pA `ABSTOL`.
+    let mut circuit = Circuit::new();
+    let a = circuit.node("a");
+    circuit.add(CurrentSource::new(
+        "iref",
+        Circuit::gnd(),
+        a,
+        SourceWave::dc(50e-12),
+    ));
+    circuit.add(Resistor::new("rload", a, Circuit::gnd(), 1e6));
+    let entry = corpus::CorpusEntry {
+        name: "defect/picoamp-reference".to_string(),
+        circuit,
+        tran: Some(TranOptions::for_duration(1e-6)),
+    };
+    let ids = rule_ids(&entry);
+    assert!(ids.contains(&"opt/abstol"), "{ids:?}");
+    for entry in &corpus::shipped() {
+        let ids = rule_ids(entry);
+        assert!(!ids.contains(&"opt/abstol"), "`{}`: {ids:?}", entry.name);
+    }
 }
 
 #[test]

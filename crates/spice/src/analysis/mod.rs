@@ -12,7 +12,7 @@ use oxterm_telemetry::{PhaseId, Profiler, Telemetry};
 
 use crate::circuit::Circuit;
 use crate::device::{AnalysisKind, DenseSink, StampContext, TripletSink};
-use crate::options::SimOptions;
+use crate::options::{SimOptions, ABSTOL, MAX_DV, RELTOL, SPARSE_THRESHOLD, VNTOL};
 use crate::SpiceError;
 
 /// Assembles the linearized MNA system at the candidate solution and solves
@@ -24,7 +24,6 @@ pub(crate) fn assemble_and_solve(
     kind: AnalysisKind,
     source_factor: f64,
     gshunt: f64,
-    opts: &SimOptions,
 ) -> Result<Vec<f64>, SpiceError> {
     let n = circuit.n_unknowns();
     if n == 0 {
@@ -50,7 +49,7 @@ pub(crate) fn assemble_and_solve(
 
     let tel = Telemetry::global();
     let prof = Profiler::global();
-    if n <= opts.sparse_threshold {
+    if n <= SPARSE_THRESHOLD {
         let mut a = DMatrix::zeros(n, n);
         {
             let _stamp = prof.phase(PhaseId::NewtonStamp);
@@ -136,7 +135,7 @@ pub(crate) fn newton_solve(
     let mut x = x0.to_vec();
     let mut worst = f64::INFINITY;
     for iter in 0..opts.max_newton_iters {
-        let x_new = assemble_and_solve(circuit, &x, state, kind, source_factor, gshunt, opts)?;
+        let x_new = assemble_and_solve(circuit, &x, state, kind, source_factor, gshunt)?;
         if x_new.iter().any(|v| !v.is_finite()) {
             tel.incr("spice.newton.failures");
             if diag_on {
@@ -166,8 +165,8 @@ pub(crate) fn newton_solve(
             ratios.clear();
         }
         for i in 0..n {
-            let atol = if i < nn { opts.vntol } else { opts.abstol };
-            let tol = atol + opts.reltol * x_new[i].abs().max(x[i].abs());
+            let atol = if i < nn { VNTOL } else { ABSTOL };
+            let tol = atol + RELTOL * x_new[i].abs().max(x[i].abs());
             let err = (x_new[i] - x[i]).abs();
             let ratio = err / tol;
             worst = worst.max(ratio);
@@ -194,10 +193,10 @@ pub(crate) fn newton_solve(
         let mut damped = x_new;
         for i in 0..nn {
             let d = damped[i] - x[i];
-            if d > opts.max_dv {
-                damped[i] = x[i] + opts.max_dv;
-            } else if d < -opts.max_dv {
-                damped[i] = x[i] - opts.max_dv;
+            if d > MAX_DV {
+                damped[i] = x[i] + MAX_DV;
+            } else if d < -MAX_DV {
+                damped[i] = x[i] - MAX_DV;
             }
         }
         x = damped;

@@ -5,6 +5,7 @@ use oxterm_telemetry::{Arg, PhaseId, Profiler, Telemetry, Tracer, Track};
 use crate::analysis::{newton_solve, NewtonOutcome};
 use crate::circuit::Circuit;
 use crate::device::AnalysisKind;
+use crate::options::GMIN;
 use crate::solution::Solution;
 use crate::SpiceError;
 
@@ -56,7 +57,7 @@ pub fn solve_op_from(
     let mut escalations: Vec<String> = Vec::new();
 
     // 1. Direct Newton.
-    match newton_solve(circuit, &x0, &state, AnalysisKind::Dc, 1.0, sim.gmin, sim) {
+    match newton_solve(circuit, &x0, &state, AnalysisKind::Dc, 1.0, GMIN, sim) {
         Ok(NewtonOutcome { x, .. }) => {
             tel.incr("spice.op.direct");
             return Ok(Solution::new(x, nn));
@@ -72,7 +73,7 @@ pub fn solve_op_from(
     let mut x = x0.clone();
     let mut gshunt = 1e-2;
     let mut gmin_ok = true;
-    while gshunt > sim.gmin * 1.01 {
+    while gshunt > GMIN * 1.01 {
         match newton_solve(circuit, &x, &state, AnalysisKind::Dc, 1.0, gshunt, sim) {
             Ok(out) => x = out.x,
             Err(e) => {
@@ -86,7 +87,7 @@ pub fn solve_op_from(
         gshunt *= 0.1;
     }
     if gmin_ok {
-        match newton_solve(circuit, &x, &state, AnalysisKind::Dc, 1.0, sim.gmin, sim) {
+        match newton_solve(circuit, &x, &state, AnalysisKind::Dc, 1.0, GMIN, sim) {
             Ok(out) => {
                 tel.incr("spice.op.gmin_recoveries");
                 // Convergence-aid escalation: the direct solve failed and gmin
@@ -112,7 +113,7 @@ pub fn solve_op_from(
     let mut failures = 0;
     while factor < 1.0 {
         let next = (factor + step).min(1.0);
-        match newton_solve(circuit, &x, &state, AnalysisKind::Dc, next, sim.gmin, sim) {
+        match newton_solve(circuit, &x, &state, AnalysisKind::Dc, next, GMIN, sim) {
             Ok(out) => {
                 x = out.x;
                 factor = next;

@@ -13,6 +13,7 @@ use oxterm_telemetry::{Arg, PhaseId, Profiler, Telemetry, Tracer, Track};
 use crate::analysis::{newton_solve, op::solve_op, NewtonOutcome};
 use crate::circuit::{Circuit, ElementId, NodeId};
 use crate::device::{AnalysisKind, UpdateContext};
+use crate::options::{DV_STEP_MAX, GMIN};
 use crate::postmortem::{record_tran_failure, TimestepRing, PROBE_TAIL_LEN};
 use crate::probe::{ProbeCapture, ProbeRecorder};
 use crate::solution::Solution;
@@ -201,7 +202,7 @@ pub fn run_transient(
     let mut ts_ring = oxterm_telemetry::postmortem::is_active().then(TimestepRing::new);
     let op = solve_op(circuit, &OpOptions { sim })?;
     let mut state = circuit.initial_state();
-    prime_states(circuit, op.as_slice(), &mut state, opts);
+    prime_states(circuit, op.as_slice(), &mut state);
     // Per-device energy integration: armed only when the process-global
     // joule ledger is; disarmed runs pay one branch here and nothing in
     // the step loop.
@@ -209,7 +210,7 @@ pub fn run_transient(
         let ledger = JouleLedger::global().clone();
         ledger.is_enabled().then(|| {
             let mut m = PowerMeter::new(circuit, ledger);
-            m.prime(circuit, op.as_slice(), &state, opts);
+            m.prime(circuit, op.as_slice(), &state);
             m
         })
     };
@@ -231,8 +232,8 @@ pub fn run_transient(
 
     let mut t = 0.0f64;
     let mut x = op.as_slice().to_vec();
-    let mut dt = opts.resolved_dt_init().min(opts.resolved_dt_max());
     let dt_max = opts.resolved_dt_max();
+    let mut dt = (opts.t_stop / 1000.0).min(dt_max);
     let t_eps = (opts.t_stop * 1e-15).max(1e-21);
 
     let mut accepted = 0usize;
@@ -301,9 +302,8 @@ pub fn run_transient(
             let kind = AnalysisKind::Tran {
                 time: t + dt_try,
                 dt: dt_try,
-                method: opts.method,
             };
-            let outcome = newton_solve(circuit, &x, &state, kind, 1.0, sim.gmin, &sim);
+            let outcome = newton_solve(circuit, &x, &state, kind, 1.0, GMIN, &sim);
             let NewtonOutcome { x: x_new, iters } = match outcome {
                 Ok(o) => o,
                 Err(_) => {
@@ -345,7 +345,7 @@ pub fn run_transient(
                 .zip(&x)
                 .map(|(a, b)| (a - b).abs())
                 .fold(0.0f64, f64::max);
-            if dv > opts.dv_step_max && dt_try > opts.dt_min * 4.0 {
+            if dv > DV_STEP_MAX && dt_try > opts.dt_min * 4.0 {
                 if let Some(c) = &c_rej_dv {
                     c.incr();
                 }
@@ -393,11 +393,11 @@ pub fn run_transient(
             }
 
             // Accept: advance device state and record.
-            advance_states(circuit, &x_new, &mut state, t + dt_try, dt_try, opts);
+            advance_states(circuit, &x_new, &mut state, t + dt_try, dt_try);
             t += dt_try;
             x = x_new;
             if let Some(m) = &mut meter {
-                m.accumulate(circuit, &x, &state, t, dt_try, opts);
+                m.accumulate(circuit, &x, &state, t, dt_try);
             }
             result.times.push(t);
             result.data.push(x.clone());
@@ -496,14 +496,13 @@ impl PowerMeter {
 
     /// Samples the `t = 0` power from the operating point (the left edge
     /// of the first trapezoid).
-    fn prime(&mut self, circuit: &Circuit, solution: &[f64], state: &[f64], opts: &TranOptions) {
+    fn prime(&mut self, circuit: &Circuit, solution: &[f64], state: &[f64]) {
         let nn = circuit.n_nodes() - 1;
         for (k, el) in circuit.elements.iter().enumerate() {
             let ctx = UpdateContext {
                 solution,
                 time: 0.0,
                 dt: 0.0,
-                method: opts.method,
                 branch_base: nn + el.branch_offset,
             };
             self.prev[k] = el.device.power(
@@ -522,7 +521,6 @@ impl PowerMeter {
         state: &[f64],
         time: f64,
         dt: f64,
-        opts: &TranOptions,
     ) {
         let nn = circuit.n_nodes() - 1;
         let phase = joule::current_phase().index();
@@ -531,7 +529,6 @@ impl PowerMeter {
                 solution,
                 time,
                 dt,
-                method: opts.method,
                 branch_base: nn + el.branch_offset,
             };
             let p = el.device.power(
@@ -562,7 +559,7 @@ impl PowerMeter {
 }
 
 /// Primes device states from the DC operating point (`dt = 0` convention).
-fn prime_states(circuit: &Circuit, solution: &[f64], state: &mut [f64], opts: &TranOptions) {
+fn prime_states(circuit: &Circuit, solution: &[f64], state: &mut [f64]) {
     let _states = Profiler::global().phase(PhaseId::TranStates);
     let nn = circuit.n_nodes() - 1;
     for el in &circuit.elements {
@@ -570,7 +567,6 @@ fn prime_states(circuit: &Circuit, solution: &[f64], state: &mut [f64], opts: &T
             solution,
             time: 0.0,
             dt: 0.0,
-            method: opts.method,
             branch_base: nn + el.branch_offset,
         };
         el.device.update_state(
@@ -580,14 +576,7 @@ fn prime_states(circuit: &Circuit, solution: &[f64], state: &mut [f64], opts: &T
     }
 }
 
-fn advance_states(
-    circuit: &Circuit,
-    solution: &[f64],
-    state: &mut [f64],
-    time: f64,
-    dt: f64,
-    opts: &TranOptions,
-) {
+fn advance_states(circuit: &Circuit, solution: &[f64], state: &mut [f64], time: f64, dt: f64) {
     let _states = Profiler::global().phase(PhaseId::TranStates);
     let nn = circuit.n_nodes() - 1;
     for el in &circuit.elements {
@@ -595,7 +584,6 @@ fn advance_states(
             solution,
             time,
             dt,
-            method: opts.method,
             branch_base: nn + el.branch_offset,
         };
         el.device.update_state(

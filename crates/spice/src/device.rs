@@ -14,30 +14,18 @@ pub use oxterm_telemetry::joule::DeviceClass;
 
 use crate::circuit::NodeId;
 
-/// Numerical integration method used for dynamic (charge/state) devices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IntegrationMethod {
-    /// First-order implicit Euler — maximally stable, used for the first
-    /// step and after discontinuities.
-    BackwardEuler,
-    /// Second-order trapezoidal rule — the steady-state workhorse.
-    #[default]
-    Trapezoidal,
-}
-
 /// Which analysis is currently stamping, plus its time-domain context.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AnalysisKind {
     /// DC operating point or DC sweep: capacitors open, states frozen.
     Dc,
-    /// Transient step from `time - dt` to `time`.
+    /// Transient step from `time - dt` to `time`; dynamic devices use
+    /// trapezoidal companion models.
     Tran {
         /// The time being solved for (end of the step).
         time: f64,
         /// Step size.
         dt: f64,
-        /// Companion-model integration method.
-        method: IntegrationMethod,
     },
 }
 
@@ -267,7 +255,6 @@ pub struct UpdateContext<'a> {
     pub(crate) solution: &'a [f64],
     pub(crate) time: f64,
     pub(crate) dt: f64,
-    pub(crate) method: IntegrationMethod,
     pub(crate) branch_base: usize,
 }
 
@@ -293,11 +280,6 @@ impl UpdateContext<'_> {
     /// Size of the accepted step.
     pub fn dt(&self) -> f64 {
         self.dt
-    }
-
-    /// Integration method used for the accepted step.
-    pub fn method(&self) -> IntegrationMethod {
-        self.method
     }
 }
 

@@ -1,37 +1,39 @@
 //! Tolerances and analysis options.
+//!
+//! The paper's results come from one fixed transient set-up, so the
+//! numerical controls no caller varies are constants; the option structs
+//! carry only what experiments actually set.
 
-use crate::device::IntegrationMethod;
 use crate::probe::ProbePlan;
 
-/// Newton–Raphson and assembly tolerances shared by all analyses.
+/// Relative Newton convergence tolerance.
+pub const RELTOL: f64 = 1e-3;
+/// Absolute Newton voltage tolerance (V).
+pub const VNTOL: f64 = 1e-6;
+/// Absolute Newton branch-current tolerance (A).
+pub const ABSTOL: f64 = 1e-12;
+/// Final shunt conductance from every node to ground (S), a numerical aid.
+pub const GMIN: f64 = 1e-12;
+/// Per-iteration clamp on node-voltage updates (V): global Newton damping.
+pub const MAX_DV: f64 = 1.0;
+/// Systems larger than this many unknowns use the sparse LU path.
+pub const SPARSE_THRESHOLD: usize = 150;
+/// Largest node-voltage change allowed per accepted transient step (V);
+/// larger changes retry the step at half size. This is the engine's
+/// local-accuracy control.
+pub const DV_STEP_MAX: f64 = 0.3;
+
+/// Newton–Raphson options shared by all analyses.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimOptions {
-    /// Relative convergence tolerance.
-    pub reltol: f64,
-    /// Absolute voltage tolerance (V).
-    pub vntol: f64,
-    /// Absolute branch-current tolerance (A).
-    pub abstol: f64,
     /// Maximum Newton iterations per solve.
     pub max_newton_iters: usize,
-    /// Final shunt conductance from every node to ground (numerical aid).
-    pub gmin: f64,
-    /// Per-iteration clamp on node-voltage updates (V) — global damping.
-    pub max_dv: f64,
-    /// Systems larger than this many unknowns use the sparse LU path.
-    pub sparse_threshold: usize,
 }
 
 impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
-            reltol: 1e-3,
-            vntol: 1e-6,
-            abstol: 1e-12,
             max_newton_iters: 150,
-            gmin: 1e-12,
-            max_dv: 1.0,
-            sparse_threshold: 150,
         }
     }
 }
@@ -39,35 +41,30 @@ impl Default for SimOptions {
 /// Options for the DC operating-point analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OpOptions {
-    /// Shared tolerances.
+    /// Shared Newton options.
     pub sim: SimOptions,
 }
 
 /// Options for transient analysis.
+///
+/// Dynamic devices always integrate with the trapezoidal rule, and the
+/// first step is `t_stop / 1000` (clipped to the step ceiling).
 ///
 /// `TranOptions` is `Clone` but (unlike [`SimOptions`]) not `Copy`: the
 /// probe plan owns heap data. Pass by reference, clone when a variant is
 /// needed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TranOptions {
-    /// Shared tolerances.
+    /// Shared Newton options.
     pub sim: SimOptions,
     /// End time (s).
     pub t_stop: f64,
-    /// Initial step (s); defaults to `t_stop / 1000`.
-    pub dt_init: Option<f64>,
     /// Smallest step before the run is abandoned (s).
     pub dt_min: f64,
     /// Largest allowed step (s); defaults to `t_stop / 50`.
     pub dt_max: Option<f64>,
     /// Hard cap on accepted steps.
     pub max_steps: usize,
-    /// Integration method for dynamic devices.
-    pub method: IntegrationMethod,
-    /// Largest node-voltage change allowed per accepted step (V); larger
-    /// changes cause the step to be retried at half size. This is the
-    /// engine's local-accuracy control.
-    pub dv_step_max: f64,
     /// Signal probes captured per accepted step (empty = capture nothing).
     pub probes: ProbePlan,
 }
@@ -79,12 +76,9 @@ impl TranOptions {
         TranOptions {
             sim: SimOptions::default(),
             t_stop,
-            dt_init: None,
             dt_min: 1e-16,
             dt_max: None,
             max_steps: 2_000_000,
-            method: IntegrationMethod::Trapezoidal,
-            dv_step_max: 0.3,
             probes: ProbePlan::none(),
         }
     }
@@ -93,12 +87,6 @@ impl TranOptions {
     pub fn with_probes(mut self, probes: ProbePlan) -> Self {
         self.probes = probes;
         self
-    }
-
-    /// The initial step the engine will actually use (`dt_init` or the
-    /// `t_stop / 1000` default).
-    pub fn resolved_dt_init(&self) -> f64 {
-        self.dt_init.unwrap_or(self.t_stop / 1000.0)
     }
 
     /// The step ceiling the engine will actually use (`dt_max` or the
@@ -115,18 +103,12 @@ mod tests {
 
     #[test]
     fn defaults_are_sane() {
-        let s = SimOptions::default();
-        assert!(s.reltol > 0.0 && s.reltol < 1.0);
-        assert!(s.gmin <= 1e-9);
         let t = TranOptions::for_duration(1e-6);
-        assert!((t.resolved_dt_init() - 1e-9).abs() < 1e-18);
         assert!((t.resolved_dt_max() - 2e-8).abs() < 1e-18);
         let t2 = TranOptions {
-            dt_init: Some(5e-12),
             dt_max: Some(1e-9),
             ..TranOptions::for_duration(1e-6)
         };
-        assert_eq!(t2.resolved_dt_init(), 5e-12);
         assert_eq!(t2.resolved_dt_max(), 1e-9);
     }
 }
