@@ -2,6 +2,8 @@
 //! analysis: dense LU vs sparse (Gilbert–Peierls) LU on MNA-shaped
 //! (ladder) matrices at the shipped MNA sizes: 11 unknowns (single cell),
 //! 69 (8-cell word) and 128 (8×8 tile read, the largest shipped system).
+//! `sparse_refactor` is the LU cost a Newton iteration actually pays: a
+//! warmed factorization refreshed in place and solved into a reused buffer.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use oxterm_numerics::dense::DMatrix;
@@ -44,6 +46,15 @@ fn bench_factor_solve(c: &mut Criterion) {
             bench.iter(|| {
                 let lu = SparseLu::factorize(&csc).expect("well conditioned");
                 black_box(lu.solve(&b).expect("sized"))
+            })
+        });
+        let mut lu = SparseLu::factorize(&csc).expect("well conditioned");
+        let mut x = vec![0.0; n];
+        group.bench_with_input(BenchmarkId::new("sparse_refactor", n), &n, |bench, _| {
+            bench.iter(|| {
+                lu.factorize_into(&csc).expect("well conditioned");
+                lu.solve_into(&b, &mut x).expect("sized");
+                black_box(x[0])
             })
         });
     }

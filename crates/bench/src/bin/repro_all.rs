@@ -509,6 +509,12 @@ fn write_bench_summary(
         .map(|h| h.sum)
         .unwrap_or(0.0);
     let mc_runs = report.counter("mc.engine.runs").unwrap_or(0);
+    // Campaign throughput is runs over the time the campaigns ran, not over
+    // the whole checklist wall.
+    let campaign_s = report
+        .histogram("mc.engine.campaign_seconds")
+        .map(|h| h.sum)
+        .unwrap_or(0.0);
     let mut w = oxterm_telemetry::JsonWriter::new();
     w.begin_object();
     w.string("bench", "repro_all");
@@ -516,7 +522,10 @@ fn write_bench_summary(
     w.f64("newton_iterations", newton_iters);
     w.f64("newton_iterations_per_second", newton_iters / wall_s);
     w.u64("mc_runs", mc_runs);
-    w.f64("mc_runs_per_second", mc_runs as f64 / wall_s);
+    w.f64_opt(
+        "mc_runs_per_second",
+        (campaign_s > 0.0).then(|| mc_runs as f64 / campaign_s),
+    );
     w.u64(
         "tran_steps_accepted",
         report.counter("spice.tran.steps_accepted").unwrap_or(0),

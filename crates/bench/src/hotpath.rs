@@ -3,12 +3,13 @@
 //!
 //! The hierarchical phase profiler ([`oxterm_telemetry::profiler`]) says
 //! *where* the wall time went; this module says *what the solver was doing
-//! per unit of that time*. [`matrix_stats`] derives matrix dimension,
-//! structural nonzero count and dense-LU flop cost from a circuit's
-//! [`StampTopology`] without running a single Newton iteration, and
-//! [`HotPathReport`] folds those numbers together with the profile
-//! snapshot and the Newton-iteration count into one artifact (ASCII for
-//! the terminal, JSON for the perf trajectory).
+//! per unit of that time*. [`matrix_stats`] derives matrix dimension and
+//! structural nonzero count from a circuit's [`StampTopology`], and prices
+//! one Newton iteration's LU by the L+U nonzeros of one real sparse
+//! factorization of the circuit's MNA system. [`HotPathReport`] folds those
+//! numbers together with the profile snapshot and the Newton-iteration
+//! count into one artifact (ASCII for the terminal, JSON for the perf
+//! trajectory).
 //!
 //! The nonzero count is a *structural estimate*: it enumerates the matrix
 //! positions the declared topology can touch (conductance 2×2 blocks,
@@ -39,10 +40,11 @@ pub struct MatrixStats {
     pub nnz_estimate: usize,
     /// `nnz_estimate / n_unknowns²` — how sparse the system is.
     pub density: f64,
-    /// Dense-LU flop cost of one Newton iteration:
-    /// `(2/3)·n³` for the factorization plus `2·n²` for the two
-    /// triangular solves.
-    pub flops_per_iteration: f64,
+    /// L+U nonzeros of one sparse factorization of the system, as the
+    /// first Newton iteration of its operating point assembles it: the
+    /// per-iteration size of the LU work (`None` if that system is
+    /// singular).
+    pub lu_nnz: Option<usize>,
 }
 
 impl MatrixStats {
@@ -52,14 +54,15 @@ impl MatrixStats {
             "  unknowns      : {} ({} node voltages + {} branch currents)\n\
              \x20 devices       : {}\n\
              \x20 structural nnz: {} ({:.2}% dense)\n\
-             \x20 flops/iter    : {:.3e} (dense LU: 2/3·n³ + 2·n²)\n",
+             \x20 L+U nnz/iter  : {}\n",
             self.n_unknowns,
             self.n_node_unknowns,
             self.n_branches,
             self.n_devices,
             self.nnz_estimate,
             self.density * 100.0,
-            self.flops_per_iteration,
+            self.lu_nnz
+                .map_or_else(|| "n/a (singular)".to_string(), |k| k.to_string()),
         )
     }
 }
@@ -121,7 +124,7 @@ pub fn matrix_stats(circuit: &Circuit) -> MatrixStats {
         n_devices,
         nnz_estimate: nnz,
         density: if n == 0 { 0.0 } else { nnz as f64 / (nf * nf) },
-        flops_per_iteration: (2.0 / 3.0) * nf * nf * nf + 2.0 * nf * nf,
+        lu_nnz: oxterm_spice::analysis::lu_fill(circuit).ok(),
     }
 }
 
@@ -140,22 +143,12 @@ pub struct HotPathReport {
 }
 
 impl HotPathReport {
-    /// Estimated total flops across all Newton iterations, when a
-    /// representative matrix is known.
-    pub fn estimated_flops(&self) -> Option<f64> {
-        let m = self.matrix.as_ref()?;
-        (self.newton_iterations > 0.0).then_some(m.flops_per_iteration * self.newton_iterations)
-    }
-
-    /// Effective dense-equivalent flop rate over the LU leaf phase
-    /// (`tran/newton/solve_lu` self time), when both sides are known.
-    pub fn effective_flops_per_second(&self) -> Option<f64> {
-        let flops = self.estimated_flops()?;
-        let lu = self
-            .snapshot
-            .phase(oxterm_telemetry::PhaseId::NewtonSolveLu)?;
-        let secs = lu.self_ns() as f64 / 1e9;
-        (secs > 0.0).then(|| flops / secs)
+    /// Estimated L+U nonzeros factorized across all Newton iterations
+    /// (one factorization per iteration), when a representative matrix is
+    /// known.
+    pub fn estimated_lu_nnz(&self) -> Option<f64> {
+        let lu_nnz = self.matrix.as_ref()?.lu_nnz?;
+        (self.newton_iterations > 0.0).then_some(lu_nnz as f64 * self.newton_iterations)
     }
 
     /// The full report as terminal text: phase tree, matrix structure,
@@ -173,22 +166,18 @@ impl HotPathReport {
                 self.newton_iterations
             ));
         }
-        if let Some(flops) = self.estimated_flops() {
-            out.push_str(&format!("estimated newton flops: {flops:.3e}"));
-            if let Some(rate) = self.effective_flops_per_second() {
-                out.push_str(&format!(" ({rate:.3e} flop/s over the LU phase)"));
-            }
-            out.push('\n');
+        if let Some(nnz) = self.estimated_lu_nnz() {
+            out.push_str(&format!("estimated newton L+U nnz: {nnz:.3e}\n"));
         }
         out
     }
 
-    /// The report as JSON (schema `oxterm-hotpath/1`): the profile
+    /// The report as JSON (schema `oxterm-hotpath/2`): the profile
     /// snapshot's phases verbatim plus the matrix/newton sections.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
-        w.string("schema", "oxterm-hotpath/1");
+        w.string("schema", "oxterm-hotpath/2");
         w.begin_object_key("profile");
         w.f64_opt("leaf_coverage", self.snapshot.leaf_coverage());
         w.u64("work_self_ns", self.snapshot.work_self_ns());
@@ -213,16 +202,12 @@ impl HotPathReport {
             w.u64("n_devices", m.n_devices as u64);
             w.u64("nnz_estimate", m.nnz_estimate as u64);
             w.f64("density", m.density);
-            w.f64("flops_per_iteration", m.flops_per_iteration);
+            w.f64_opt("lu_nnz", m.lu_nnz.map(|k| k as f64));
             w.end_object();
         }
         w.begin_object_key("newton");
         w.f64("iterations", self.newton_iterations);
-        w.f64_opt("estimated_flops", self.estimated_flops());
-        w.f64_opt(
-            "effective_flops_per_second",
-            self.effective_flops_per_second(),
-        );
+        w.f64_opt("estimated_lu_nnz", self.estimated_lu_nnz());
         w.end_object();
         w.end_object();
         w.finish()
@@ -252,7 +237,11 @@ mod tests {
         assert!(m.nnz_estimate > m.n_unknowns, "{m:?}");
         assert!(m.nnz_estimate < m.n_unknowns * m.n_unknowns, "{m:?}");
         assert!(m.density > 0.0 && m.density < 1.0, "{m:?}");
-        assert!(m.flops_per_iteration > 0.0);
+        // One real factorization: at least the diagonal of L and of U,
+        // at most a dense L+U.
+        let lu_nnz = m.lu_nnz.expect("testbench system factorizes");
+        assert!(lu_nnz >= 2 * m.n_unknowns, "{m:?}");
+        assert!(lu_nnz <= m.n_unknowns * (m.n_unknowns + 1), "{m:?}");
     }
 
     #[test]
@@ -262,9 +251,9 @@ mod tests {
             matrix: None,
             newton_iterations: 0.0,
         };
-        assert!(report.estimated_flops().is_none());
+        assert!(report.estimated_lu_nnz().is_none());
         let json = report.to_json();
-        assert!(json.contains("oxterm-hotpath/1"), "{json}");
+        assert!(json.contains("oxterm-hotpath/2"), "{json}");
         let _ = report.to_text();
     }
 
@@ -275,11 +264,13 @@ mod tests {
             matrix: Some(fig10_stats()),
             newton_iterations: 1000.0,
         };
-        let flops = report.estimated_flops().expect("matrix + iterations");
-        assert!(flops >= 1000.0 * report.matrix.as_ref().unwrap().flops_per_iteration * 0.999);
+        let nnz = report.estimated_lu_nnz().expect("matrix + iterations");
+        let per_iter = report.matrix.as_ref().unwrap().lu_nnz.unwrap() as f64;
+        assert_eq!(nnz, 1000.0 * per_iter);
         let json = report.to_json();
         assert!(json.contains("\"n_unknowns\""), "{json}");
-        assert!(json.contains("\"estimated_flops\""), "{json}");
+        assert!(json.contains("\"lu_nnz\""), "{json}");
+        assert!(json.contains("\"estimated_lu_nnz\""), "{json}");
         let text = report.to_text();
         assert!(text.contains("representative MNA system"), "{text}");
     }

@@ -430,8 +430,8 @@ impl TelemetryCli {
     }
 
     /// Hands the structural stats of the run's representative circuit to
-    /// the hot-path report written at [`TelemetryCli::finish`] (the flop
-    /// estimates stay absent without them). The last call wins.
+    /// the hot-path report written at [`TelemetryCli::finish`] (the LU
+    /// work estimates stay absent without them). The last call wins.
     pub fn record_matrix_stats(&mut self, stats: MatrixStats) {
         self.matrix = Some(stats);
     }

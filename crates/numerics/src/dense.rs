@@ -1,10 +1,8 @@
 //! Row-major dense matrices and LU factorization with partial pivoting.
 //!
-//! Modified nodal analysis (MNA) systems for the circuits in this workspace
-//! are small (tens to a few hundred unknowns), where a dense factorization
-//! with partial pivoting is both the fastest and the most robust choice.
-//! Larger array netlists use [`crate::sparse_lu`] instead; the two solvers are
-//! cross-checked against each other in the test suites.
+//! The circuit solver factorizes its MNA systems with [`crate::sparse_lu`];
+//! this dense LU is the reference it is cross-checked against in the test
+//! suites and benches, and a general small-system solver.
 
 use crate::NumericsError;
 

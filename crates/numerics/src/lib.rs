@@ -7,10 +7,12 @@
 //! optimization helpers used by the Monte Carlo and calibration layers:
 //!
 //! * [`dense`] — row-major dense matrices and LU factorization with partial
-//!   pivoting (the workhorse for small modified-nodal-analysis systems).
-//! * [`sparse`] — compressed-sparse-column matrices built from triplets.
+//!   pivoting (the reference the sparse solver is checked against).
+//! * [`sparse`] — compressed-sparse-column matrices built from triplets or
+//!   from a fixed pattern whose values are rewritten in place.
 //! * [`sparse_lu`] — a left-looking Gilbert–Peierls sparse LU with partial
-//!   pivoting for larger memory-array netlists.
+//!   pivoting that refactorizes in place: the solver behind every
+//!   modified-nodal-analysis Newton iteration.
 //! * [`interp`] — piecewise-linear waveforms (sources, measured curves).
 //! * [`stats`] — quantiles, box-plot statistics, CDFs, and regression used to
 //!   reproduce the paper's distribution figures.

@@ -1,9 +1,13 @@
-//! Compressed-sparse-column matrices built from coordinate triplets.
+//! Compressed-sparse-column matrices, built from coordinate triplets or from
+//! a bare pattern.
 //!
-//! MNA assembly naturally produces duplicate coordinate entries (every device
+//! Coordinate assembly naturally produces duplicate entries (every device
 //! stamps into the same node positions), so [`TripletMatrix`] accumulates
 //! duplicates and [`TripletMatrix::to_csc`] sums them during compression —
 //! exactly the semantics of the dense [`crate::dense::DMatrix::add`] stamp.
+//! A solver that re-assembles one system many times instead builds the
+//! pattern once with [`CscMatrix::from_pattern`] and rewrites
+//! [`CscMatrix::values_mut`] in place.
 
 use crate::NumericsError;
 
@@ -116,7 +120,12 @@ impl TripletMatrix {
     }
 }
 
-/// An immutable compressed-sparse-column matrix.
+/// A compressed-sparse-column matrix with a fixed pattern.
+///
+/// The pattern (column pointers and row indices, rows ascending within each
+/// column) never changes after construction; the values may be rewritten in
+/// place through [`CscMatrix::values_mut`], which is how a Newton loop
+/// re-assembles the same MNA system each iteration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CscMatrix {
     n_rows: usize,
@@ -127,6 +136,53 @@ pub struct CscMatrix {
 }
 
 impl CscMatrix {
+    /// Builds the pattern holding every `(row, col)` position in `entries`
+    /// (duplicates merged), with all values zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a position is out of bounds.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use oxterm_numerics::sparse::CscMatrix;
+    ///
+    /// let mut m = CscMatrix::from_pattern(2, 2, [(1, 0), (0, 0), (1, 0)]);
+    /// assert_eq!(m.row_idx(), &[0, 1]);
+    /// m.values_mut()[1] = 4.0;
+    /// assert_eq!(m.get(1, 0), 4.0);
+    /// ```
+    pub fn from_pattern(
+        n_rows: usize,
+        n_cols: usize,
+        entries: impl IntoIterator<Item = (usize, usize)>,
+    ) -> Self {
+        let mut cells: Vec<(usize, usize)> = entries
+            .into_iter()
+            .map(|(r, c)| {
+                assert!(r < n_rows && c < n_cols, "pattern entry out of bounds");
+                (c, r)
+            })
+            .collect();
+        cells.sort_unstable();
+        cells.dedup();
+        let mut col_ptr = vec![0usize; n_cols + 1];
+        for &(c, _) in &cells {
+            col_ptr[c + 1] += 1;
+        }
+        for j in 0..n_cols {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        CscMatrix {
+            n_rows,
+            n_cols,
+            col_ptr,
+            row_idx: cells.iter().map(|&(_, r)| r).collect(),
+            values: vec![0.0; cells.len()],
+        }
+    }
+
     /// Number of rows.
     pub fn n_rows(&self) -> usize {
         self.n_rows
@@ -155,6 +211,11 @@ impl CscMatrix {
     /// Stored values, column by column.
     pub fn values(&self) -> &[f64] {
         &self.values
+    }
+
+    /// Mutable stored values, column by column; the pattern stays fixed.
+    pub fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.values
     }
 
     /// Entry accessor (linear scan within the column; fine for tests and
@@ -228,7 +289,7 @@ impl CscMatrix {
         self.values = new_vals;
     }
 
-    /// Converts to a dense matrix (tests and small-system fallbacks).
+    /// Converts to a dense matrix (tests and cross-checks).
     pub fn to_dense(&self) -> crate::dense::DMatrix {
         let mut m = crate::dense::DMatrix::zeros(self.n_rows, self.n_cols);
         for j in 0..self.n_cols {

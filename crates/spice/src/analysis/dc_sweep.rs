@@ -1,6 +1,7 @@
 //! Warm-started DC parameter sweeps.
 
-use crate::analysis::op::solve_op_from;
+use crate::analysis::op::solve_op_in;
+use crate::analysis::MnaWorkspace;
 use crate::circuit::Circuit;
 use crate::options::OpOptions;
 use crate::solution::Solution;
@@ -35,9 +36,10 @@ where
 {
     let mut out = Vec::with_capacity(points.len());
     let mut prev: Option<Solution> = None;
+    let mut ws = MnaWorkspace::new(circuit, opts.sim);
     for &p in points {
         configure(circuit, p)?;
-        let sol = solve_op_from(circuit, prev.as_ref(), opts).map_err(|e| match e {
+        let sol = solve_op_in(circuit, &mut ws, prev.as_ref()).map_err(|e| match e {
             SpiceError::NoConvergence {
                 analysis,
                 time,

@@ -2,7 +2,7 @@
 
 use oxterm_telemetry::{Arg, PhaseId, Profiler, Telemetry, Tracer, Track};
 
-use crate::analysis::{newton_solve, NewtonOutcome};
+use crate::analysis::{newton_solve, MnaWorkspace, NewtonOutcome};
 use crate::circuit::Circuit;
 use crate::device::AnalysisKind;
 use crate::options::GMIN;
@@ -40,6 +40,17 @@ pub fn solve_op_from(
     warm: Option<&Solution>,
     opts: &OpOptions,
 ) -> Result<Solution, SpiceError> {
+    solve_op_in(circuit, &mut MnaWorkspace::new(circuit, opts.sim), warm)
+}
+
+/// [`solve_op_from`] on a caller-owned workspace (which carries the
+/// Newton options), so an analysis that solves several operating points (a
+/// sweep, a transient's `t = 0`) builds its MNA pattern once.
+pub(crate) fn solve_op_in(
+    circuit: &Circuit,
+    ws: &mut MnaWorkspace,
+    warm: Option<&Solution>,
+) -> Result<Solution, SpiceError> {
     let n = circuit.n_unknowns();
     let nn = circuit.n_nodes() - 1;
     let state = circuit.initial_state();
@@ -47,7 +58,6 @@ pub fn solve_op_from(
         Some(s) if s.as_slice().len() == n => s.as_slice().to_vec(),
         _ => vec![0.0; n],
     };
-    let sim = &opts.sim;
     let tel = Telemetry::global();
     let _op = Profiler::global().phase(PhaseId::OpSolve);
     tel.incr("spice.op.solves");
@@ -57,7 +67,7 @@ pub fn solve_op_from(
     let mut escalations: Vec<String> = Vec::new();
 
     // 1. Direct Newton.
-    match newton_solve(circuit, &x0, &state, AnalysisKind::Dc, 1.0, GMIN, sim) {
+    match newton_solve(circuit, ws, &x0, &state, AnalysisKind::Dc, 1.0, GMIN) {
         Ok(NewtonOutcome { x, .. }) => {
             tel.incr("spice.op.direct");
             return Ok(Solution::new(x, nn));
@@ -74,7 +84,7 @@ pub fn solve_op_from(
     let mut gshunt = 1e-2;
     let mut gmin_ok = true;
     while gshunt > GMIN * 1.01 {
-        match newton_solve(circuit, &x, &state, AnalysisKind::Dc, 1.0, gshunt, sim) {
+        match newton_solve(circuit, ws, &x, &state, AnalysisKind::Dc, 1.0, gshunt) {
             Ok(out) => x = out.x,
             Err(e) => {
                 gmin_ok = false;
@@ -87,7 +97,7 @@ pub fn solve_op_from(
         gshunt *= 0.1;
     }
     if gmin_ok {
-        match newton_solve(circuit, &x, &state, AnalysisKind::Dc, 1.0, GMIN, sim) {
+        match newton_solve(circuit, ws, &x, &state, AnalysisKind::Dc, 1.0, GMIN) {
             Ok(out) => {
                 tel.incr("spice.op.gmin_recoveries");
                 // Convergence-aid escalation: the direct solve failed and gmin
@@ -113,7 +123,7 @@ pub fn solve_op_from(
     let mut failures = 0;
     while factor < 1.0 {
         let next = (factor + step).min(1.0);
-        match newton_solve(circuit, &x, &state, AnalysisKind::Dc, next, GMIN, sim) {
+        match newton_solve(circuit, ws, &x, &state, AnalysisKind::Dc, next, GMIN) {
             Ok(out) => {
                 x = out.x;
                 factor = next;

@@ -10,7 +10,7 @@
 use oxterm_telemetry::joule::{self, JouleLedger, N_PHASES, PHASES};
 use oxterm_telemetry::{Arg, PhaseId, Profiler, Telemetry, Tracer, Track};
 
-use crate::analysis::{newton_solve, op::solve_op, NewtonOutcome};
+use crate::analysis::{newton_solve, op::solve_op_in, MnaWorkspace, NewtonOutcome};
 use crate::circuit::{Circuit, ElementId, NodeId};
 use crate::device::{AnalysisKind, UpdateContext};
 use crate::options::{DV_STEP_MAX, GMIN};
@@ -200,7 +200,10 @@ pub fn run_transient(
     // Timestep history for post-mortem artifacts: a bounded Copy-write
     // ring, kept only while capture is active.
     let mut ts_ring = oxterm_telemetry::postmortem::is_active().then(TimestepRing::new);
-    let op = solve_op(circuit, &OpOptions { sim })?;
+    // One MNA workspace for the whole run: the operating point sets its
+    // pattern and every timestep's Newton loop refactorizes in place.
+    let mut ws = MnaWorkspace::new(circuit, sim);
+    let op = solve_op_in(circuit, &mut ws, None)?;
     let mut state = circuit.initial_state();
     prime_states(circuit, op.as_slice(), &mut state);
     // Per-device energy integration: armed only when the process-global
@@ -303,7 +306,7 @@ pub fn run_transient(
                 time: t + dt_try,
                 dt: dt_try,
             };
-            let outcome = newton_solve(circuit, &x, &state, kind, 1.0, GMIN, &sim);
+            let outcome = newton_solve(circuit, &mut ws, &x, &state, kind, 1.0, GMIN);
             let NewtonOutcome { x: x_new, iters } = match outcome {
                 Ok(o) => o,
                 Err(_) => {

@@ -31,8 +31,8 @@ pub enum AnalysisKind {
 
 /// Destination for matrix and right-hand-side stamps.
 ///
-/// Implemented for both the dense and the sparse assembly paths so device
-/// code is written once.
+/// The analyses stamp into a sparse workspace whose pattern is built once
+/// per analysis; device code sees only this interface.
 pub trait MnaSink {
     /// Adds `v` to `A[r, c]`.
     fn add(&mut self, r: usize, c: usize, v: f64);
@@ -40,39 +40,20 @@ pub trait MnaSink {
     fn rhs(&mut self, r: usize, v: f64);
 }
 
-/// Dense assembly sink.
-pub struct DenseSink<'m> {
+/// Dense assembly sink for the stamp unit tests.
+#[cfg(test)]
+pub(crate) struct DenseSink<'m> {
     /// Matrix being assembled.
     pub a: &'m mut oxterm_numerics::dense::DMatrix,
     /// Right-hand side being assembled.
     pub b: &'m mut [f64],
 }
 
+#[cfg(test)]
 impl MnaSink for DenseSink<'_> {
-    #[inline]
     fn add(&mut self, r: usize, c: usize, v: f64) {
         self.a.add(r, c, v);
     }
-    #[inline]
-    fn rhs(&mut self, r: usize, v: f64) {
-        self.b[r] += v;
-    }
-}
-
-/// Sparse (triplet) assembly sink.
-pub struct TripletSink<'m> {
-    /// Triplet accumulator being assembled.
-    pub a: &'m mut oxterm_numerics::sparse::TripletMatrix,
-    /// Right-hand side being assembled.
-    pub b: &'m mut [f64],
-}
-
-impl MnaSink for TripletSink<'_> {
-    #[inline]
-    fn add(&mut self, r: usize, c: usize, v: f64) {
-        self.a.add(r, c, v);
-    }
-    #[inline]
     fn rhs(&mut self, r: usize, v: f64) {
         self.b[r] += v;
     }

@@ -16,8 +16,6 @@ pub const ABSTOL: f64 = 1e-12;
 pub const GMIN: f64 = 1e-12;
 /// Per-iteration clamp on node-voltage updates (V): global Newton damping.
 pub const MAX_DV: f64 = 1.0;
-/// Systems larger than this many unknowns use the sparse LU path.
-pub const SPARSE_THRESHOLD: usize = 150;
 /// Largest node-voltage change allowed per accepted transient step (V);
 /// larger changes retry the step at half size. This is the engine's
 /// local-accuracy control.

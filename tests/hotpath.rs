@@ -100,7 +100,7 @@ fn solver_work_attributes_to_named_leaf_phases() {
         matrix: Some(matrix_stats(&circuit)),
         newton_iterations,
     };
-    assert!(report.estimated_flops().unwrap_or(0.0) > 0.0);
+    assert!(report.estimated_lu_nnz().unwrap_or(0.0) > 0.0);
 
     let text = report.to_text();
     assert!(text.contains("leaf coverage"), "{text}");

@@ -41,6 +41,46 @@ proptest! {
         }
     }
 
+    /// One `SparseLu` refactorized in place across systems of different
+    /// sizes, patterns and pivot orders solves each one bit for bit as a
+    /// fresh factorization does, and agrees with the dense LU.
+    #[test]
+    fn refactorization_in_place_matches_fresh(
+        systems in proptest::collection::vec(
+            (
+                2usize..24,
+                proptest::collection::vec((-1.0f64..1.0, 0usize..24, 0usize..24), 0..60),
+                0usize..24,
+            ),
+            1..6,
+        ),
+    ) {
+        let mut reused = SparseLu::default();
+        for (n, entries, shift) in systems {
+            // A dominant entry per column, on a row rotated by `shift`, so
+            // partial pivoting has to find it off the diagonal.
+            let mut t = TripletMatrix::new(n, n);
+            for c in 0..n {
+                t.add((c + shift) % n, c, 5.0 + c as f64 * 0.1);
+            }
+            for (v, r, c) in entries {
+                t.add(r % n, c % n, v);
+            }
+            let csc = t.to_csc();
+            let b: Vec<f64> = (0..n).map(|i| 1.0 - i as f64 * 0.2).collect();
+            reused.factorize_into(&csc).expect("dominant after pivoting");
+            let mut xr = vec![0.0; n];
+            reused.solve_into(&b, &mut xr).expect("sized");
+            let fresh = SparseLu::factorize(&csc).expect("dominant after pivoting");
+            prop_assert_eq!(reused.nnz(), fresh.nnz());
+            prop_assert_eq!(&xr, &fresh.solve(&b).expect("sized"));
+            let xd = csc.to_dense().factorize().expect("dominant").solve(&b).expect("sized");
+            for (a, d) in xr.iter().zip(&xd) {
+                prop_assert!((a - d).abs() < 1e-8, "n={n}: reused {a} vs dense {d}");
+            }
+        }
+    }
+
     /// The filament state always stays inside [0, 1] and moves in the
     /// direction the applied polarity dictates.
     #[test]

@@ -6,7 +6,9 @@
 //! binary which never arms it pays one branch per call: no clock read,
 //! no lock, no heap traffic. The probe recorder promises that once its
 //! buffers exist, recording a solution vector (including the in-place
-//! min/max decimation a long run triggers) touches no heap.
+//! min/max decimation a long run triggers) touches no heap. The sparse LU
+//! behind every Newton iteration promises that refactorizing and solving
+//! a system whose pattern it has already seen touches no heap either.
 //!
 //! This binary installs one counting `#[global_allocator]` and holds
 //! each path to its promise. The count is per thread, so the tests may
@@ -19,6 +21,8 @@ use std::cell::Cell;
 use oxterm_chaos::ALL_KINDS;
 use oxterm_devices::passive::{Capacitor, Resistor};
 use oxterm_devices::sources::{SourceWave, VoltageSource};
+use oxterm_numerics::sparse::CscMatrix;
+use oxterm_numerics::sparse_lu::SparseLu;
 use oxterm_spice::circuit::Circuit;
 use oxterm_spice::probe::{ProbePlan, ProbeRecorder};
 use oxterm_telemetry::joule::{DeviceClass, JouleLedger, Role};
@@ -279,4 +283,55 @@ fn disarmed_observe_paths_allocate_nothing() {
     let counts = armed.counts();
     assert_eq!(counts.total_obs, 1);
     assert!(counts.dissipated_j > 0.0);
+}
+
+#[test]
+fn warmed_sparse_refactorization_allocates_nothing() {
+    // A 69-unknown ladder with a branch row, the size of the 8-cell word,
+    // whose pivot order changes with its values.
+    let n = 69;
+    let pattern = (0..n)
+        .flat_map(|i| [(i, i), (i, (i + 1) % n), ((i + 1) % n, i)])
+        .chain([(0, n - 1), (n - 1, 0)]);
+    let mut a = CscMatrix::from_pattern(n, n, pattern);
+    let fill = |a: &mut CscMatrix, k: u64| {
+        for (j, v) in a.values_mut().iter_mut().enumerate() {
+            *v = 1.0 + ((j as u64 * 7 + k * 13) % 11) as f64;
+        }
+    };
+    fill(&mut a, 0);
+    let b = vec![1.0; n];
+    let mut x = vec![0.0; n];
+    // The values cycle with period 11 in `k`. Partial pivoting makes the
+    // fill depend on the values, so warming means one pass over the cycle:
+    // the buffers then fit every pivot order the loop below meets.
+    let mut lu = SparseLu::factorize(&a).expect("nonsingular");
+    let mut fills = vec![lu.nnz()];
+    for k in 1..11u64 {
+        fill(&mut a, k);
+        lu.factorize_into(&a).expect("nonsingular");
+        fills.push(lu.nnz());
+    }
+    fills.sort_unstable();
+    fills.dedup();
+    assert!(fills.len() > 1, "pivot order never changed: fill {fills:?}");
+
+    let before = local_allocations();
+    for k in 11..200u64 {
+        fill(&mut a, k);
+        lu.factorize_into(&a).expect("nonsingular");
+        lu.solve_into(&b, &mut x).expect("sized");
+    }
+    let after = local_allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "warmed refactorization allocated {} times over 189 factor+solves",
+        after - before
+    );
+    // The solves are real: the last one satisfies A·x = b.
+    let r = a.mul_vec(&x).expect("sized");
+    for (ri, bi) in r.iter().zip(&b) {
+        assert!((ri - bi).abs() < 1e-9, "{ri} vs {bi}");
+    }
 }
