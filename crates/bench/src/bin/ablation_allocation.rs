@@ -7,18 +7,20 @@
 //! because the state noise grows exactly where ISO-ΔR packs the levels in
 //! current space.
 
-use oxterm_bench::campaigns::mc_campaign;
+use oxterm_bench::campaigns::{health_line, mc_campaign};
 use oxterm_bench::table::{eng, Table};
+use oxterm_bench::telemetry_cli;
 use oxterm_mlc::levels::{AllocationScheme, LevelAllocation};
 use oxterm_mlc::margins::analyze;
 use oxterm_rram::calib::{simulate_reset_termination, ResetConditions};
 use oxterm_rram::params::{InstanceVariation, OxramParams};
 
 fn main() {
-    let runs = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let runs = telemetry_cli::count_arg("ablation_allocation", &args, 200).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(e.code);
+    });
     println!("== Ablation: ISO-ΔI vs ISO-ΔR allocation ({runs} MC runs/level) ==\n");
     let params = OxramParams::calibrated();
     let inst = InstanceVariation::nominal();
@@ -40,6 +42,7 @@ fn main() {
         "worst-case margin",
         "overlap",
     ]);
+    let mut both = Vec::new();
     for (name, alloc) in [("ISO-ΔI (paper)", &iso_i), ("ISO-ΔR", &iso_r)] {
         let campaign = mc_campaign(&params, alloc, runs, 0xAB1A);
         let samples: Vec<_> = campaign.iter().map(|c| c.to_level_samples()).collect();
@@ -60,9 +63,14 @@ fn main() {
                 "no".to_string()
             },
         ]);
+        both.extend(campaign);
     }
     println!("{}", t.render());
     println!("reading: ISO-ΔR equalizes nominal gaps but concentrates codes at low");
     println!("currents where σ(R) explodes — ISO-ΔI trades nominal uniformity for a");
     println!("margin profile that tracks the variability, which is why the paper uses it.");
+    if let Some(line) = health_line(&both) {
+        println!("{line}");
+        std::process::exit(3);
+    }
 }

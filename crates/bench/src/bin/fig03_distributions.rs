@@ -5,16 +5,18 @@
 use oxterm_array::cycling::{cycle_array, CyclingConfig};
 use oxterm_bench::chart::{xy_chart, Scale};
 use oxterm_bench::table::{eng, Table};
+use oxterm_bench::telemetry_cli;
 use oxterm_numerics::stats::{quantile, Ecdf};
 use oxterm_rram::params::OxramParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let cycles = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(500);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cycles = telemetry_cli::count_arg("fig03", &args, 500).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(e.code);
+    });
     println!("== Fig 3: HRS/LRS distributions, 64 cells × {cycles} RST/SET cycles ==\n");
     let config = CyclingConfig {
         n_cycles: cycles,

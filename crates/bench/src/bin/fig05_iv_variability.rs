@@ -3,16 +3,18 @@
 
 use oxterm_bench::chart::{xy_chart, Scale};
 use oxterm_bench::table::Table;
+use oxterm_bench::telemetry_cli;
 use oxterm_rram::iv::{butterfly_sweep, forming_sweep, IvSweepConfig};
 use oxterm_rram::params::{InstanceVariation, OxramParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let n_samples = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(50usize);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let n_samples = telemetry_cli::count_arg("fig05", &args, 50).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(e.code);
+    });
     println!("== Fig 5: I-V characteristics with variability ({n_samples} samples) ==\n");
     let params = OxramParams::calibrated();
     let mut rng = StdRng::seed_from_u64(0xF1_65);

@@ -4,7 +4,7 @@
 //! Paper anchors: margins range from 2.1 kΩ ('0000'/'0001', worst case) to
 //! 69 kΩ ('1111'/'1110'); no distribution overlap.
 
-use oxterm_bench::campaigns::{paper_qlc_campaign, probe_designated_run, supervised_qlc_campaign};
+use oxterm_bench::campaigns::{health_line, paper_qlc_campaign, probe_designated_run};
 use oxterm_bench::chart::boxplot_row;
 use oxterm_bench::table::{eng, Table};
 use oxterm_bench::telemetry_cli;
@@ -49,33 +49,10 @@ fn main() {
         }
     }
     println!("== Fig 11: HRS box plots, {runs} MC runs × 16 compliance currents ==\n");
-    // Resume/retry bookkeeping goes to stderr so stdout stays diff-clean
-    // between an uninterrupted campaign and a kill + --resume replay.
-    let (campaign, supervision) = match tel_cli.campaign() {
-        Some(opts) => {
-            let (campaign, outcome) = supervised_qlc_campaign(runs, opts).unwrap_or_else(|e| {
-                eprintln!("fig11: {e}");
-                std::process::exit(2);
-            });
-            eprintln!("fig11: campaign {}", outcome.summary_line());
-            (campaign, Some(outcome))
-        }
-        None => (paper_qlc_campaign(runs), None),
-    };
-    if let Some(outcome) = &supervision {
-        println!(
-            "campaign health: {} of {} runs failed (failure fraction {:.4}, quorum {:.2})\n",
-            outcome.failures,
-            outcome.results.len(),
-            outcome.failure_fraction(),
-            outcome.quorum,
-        );
-    }
+    let campaign = paper_qlc_campaign(runs);
     let samples: Vec<_> = campaign.iter().map(|c| c.to_level_samples()).collect();
     let report = analyze(&samples).expect("16 populated levels");
-    // Batch vs streaming agreement gate (stderr: resume replays see a
-    // partial tracker feed and stdout must stay byte-stable for the
-    // kill/resume smoke).
+    // Batch vs streaming agreement gate (verdict on stderr).
     cross_check_streaming(&samples);
 
     // Box-plot strip, low-R states at the bottom like the figure.
@@ -147,11 +124,9 @@ fn main() {
         hi
     );
     tel_cli.finish();
-    if let Some(outcome) = &supervision {
-        let code = outcome.exit_code();
-        if code != 0 {
-            std::process::exit(code);
-        }
+    if let Some(line) = health_line(&campaign) {
+        println!("{line}");
+        std::process::exit(3);
     }
 }
 
@@ -160,25 +135,20 @@ fn main() {
 /// Welford merge is exact) and a median within the sketch's rank-error
 /// bound of the exact empirical rank. Divergence is a hard failure —
 /// the two statistics paths must never drift apart silently.
-///
-/// Levels whose tracker count differs from the batch count are skipped
-/// with a note: a `--resume` replay serves completed runs from the
-/// checkpoint without re-executing them, so the tracker legitimately
-/// sees only the remainder.
 fn cross_check_streaming(samples: &[LevelSamples]) {
     let snap = LevelTracker::global().snapshot();
-    let mut checked = 0usize;
-    let mut skipped = 0usize;
     for s in samples {
-        let Some(level) = snap.levels.iter().find(|l| l.code == s.code) else {
-            skipped += 1;
-            continue;
-        };
-        if level.n as usize != s.r.len() {
-            skipped += 1;
-            continue;
-        }
         let n = s.r.len();
+        let tracked = snap.levels.iter().find(|l| l.code == s.code);
+        let Some(level) = tracked.filter(|l| l.n as usize == n) else {
+            eprintln!(
+                "fig11: STREAMING CROSS-CHECK FAILED: level {:04b} count \
+                 batch {n} vs streaming {}",
+                s.code,
+                tracked.map_or(0, |l| l.n)
+            );
+            std::process::exit(1);
+        };
         let batch_mean = s.r.iter().sum::<f64>() / n as f64;
         let mean_rel = (level.mean - batch_mean).abs() / batch_mean.abs().max(1e-12);
         if mean_rel > 1e-9 {
@@ -206,17 +176,10 @@ fn cross_check_streaming(samples: &[LevelSamples]) {
             );
             std::process::exit(1);
         }
-        checked += 1;
     }
-    if skipped > 0 {
-        eprintln!(
-            "fig11: streaming cross-check: {checked} level(s) agree, {skipped} skipped \
-             (tracker saw a partial feed — expected under --resume)"
-        );
-    } else {
-        eprintln!(
-            "fig11: streaming cross-check: batch and sketch statistics agree on all \
-             {checked} levels (means exact, medians within rank error)"
-        );
-    }
+    eprintln!(
+        "fig11: streaming cross-check: batch and sketch statistics agree on all \
+         {} levels (counts and means exact, medians within rank error)",
+        samples.len()
+    );
 }

@@ -8,7 +8,7 @@
 //! no longer needs full sample vectors (the 10k+-run campaigns of the
 //! scale push won't keep them).
 
-use oxterm_bench::campaigns::paper_qlc_campaign;
+use oxterm_bench::campaigns::{health_line, paper_qlc_campaign};
 use oxterm_bench::chart::{xy_chart, Scale};
 use oxterm_bench::levels_report::LevelReport;
 use oxterm_bench::table::{eng, Table};
@@ -96,4 +96,8 @@ fn main() {
         }
     }
     tel_cli.finish();
+    if let Some(line) = health_line(&campaign) {
+        println!("{line}");
+        std::process::exit(3);
+    }
 }

@@ -6,7 +6,7 @@
 //! pulse is excluded from the latency numbers.
 
 use oxterm_bench::campaigns::{
-    paper_qlc_campaign, probe_designated_run, supervised_qlc_campaign, LevelCampaign,
+    health_line, paper_qlc_campaign, probe_designated_run, LevelCampaign,
 };
 use oxterm_bench::chart::boxplot_row;
 use oxterm_bench::table::{eng, Table};
@@ -56,29 +56,7 @@ fn main() {
         }
     }
     println!("== Fig 13: energy/cell and RST latency, {runs} MC runs × 16 levels ==\n");
-    // Resume/retry bookkeeping goes to stderr so stdout stays diff-clean
-    // between an uninterrupted campaign and a kill + --resume replay.
-    let (campaign, supervision) = match tel_cli.campaign() {
-        Some(opts) => {
-            let (campaign, outcome) = supervised_qlc_campaign(runs, opts).unwrap_or_else(|e| {
-                eprintln!("fig13: {e}");
-                std::process::exit(2);
-            });
-            eprintln!("fig13: campaign {}", outcome.summary_line());
-            (campaign, Some(outcome))
-        }
-        None => (paper_qlc_campaign(runs), None),
-    };
-    if let Some(outcome) = &supervision {
-        println!(
-            "campaign health: {} of {} runs failed (failure fraction {:.4}, quorum {:.2})\n",
-            outcome.failures,
-            outcome.results.len(),
-            outcome.failure_fraction(),
-            outcome.quorum,
-        );
-    }
-
+    let campaign = paper_qlc_campaign(runs);
     cross_check_streaming(&campaign);
 
     let mut all_energy = Vec::new();
@@ -159,34 +137,31 @@ fn main() {
         eng(e_hi + set_energy, "J")
     );
     tel_cli.finish();
-    if let Some(outcome) = &supervision {
-        let code = outcome.exit_code();
-        if code != 0 {
-            std::process::exit(code);
-        }
+    if let Some(line) = health_line(&campaign) {
+        println!("{line}");
+        std::process::exit(3);
     }
 }
 
 /// Pits the joule ledger's streaming per-level means against the batch
 /// energy/latency vectors this figure plots. Means must agree to 1e-9
 /// relative — the ledger and the campaign saw the exact same outcomes, so
-/// anything larger is an accumulation bug, not noise. Levels whose
-/// streaming count disagrees with the batch vector are skipped rather
-/// than failed: under `--resume` the replayed runs never re-execute, so
-/// the ledger legitimately sees only the fresh tail of the campaign.
+/// anything larger is an accumulation bug, not noise. Per-level counts
+/// must match exactly too: both sides see successful runs only.
 fn cross_check_streaming(campaign: &[LevelCampaign]) {
     let snap = JouleLedger::global().snapshot();
-    let mut checked = 0usize;
-    let mut skipped = 0usize;
     for lc in campaign {
-        let Some(level) = snap.levels.iter().find(|l| l.code == lc.spec.code) else {
-            skipped += 1;
-            continue;
+        let tracked = snap.levels.iter().find(|l| l.code == lc.spec.code);
+        let Some(level) = tracked.filter(|l| l.n as usize == lc.outcomes.len()) else {
+            eprintln!(
+                "fig13: STREAMING CROSS-CHECK FAILED: level {:04b} count \
+                 batch {} vs ledger {}",
+                lc.spec.code,
+                lc.outcomes.len(),
+                tracked.map_or(0, |l| l.n)
+            );
+            std::process::exit(1);
         };
-        if level.n as usize != lc.outcomes.len() {
-            skipped += 1;
-            continue;
-        }
         let n = lc.outcomes.len() as f64;
         let pairs = [
             ("energy", lc.energies(), level.mean_j),
@@ -204,17 +179,10 @@ fn cross_check_streaming(campaign: &[LevelCampaign]) {
                 std::process::exit(1);
             }
         }
-        checked += 1;
     }
-    if skipped > 0 {
-        eprintln!(
-            "fig13: streaming cross-check: {checked} level(s) agree, {skipped} skipped \
-             (ledger saw a partial feed — expected under --resume)"
-        );
-    } else {
-        eprintln!(
-            "fig13: streaming cross-check: batch and ledger statistics agree on all \
-             {checked} levels (energy and latency means within 1e-9)"
-        );
-    }
+    eprintln!(
+        "fig13: streaming cross-check: batch and ledger statistics agree on all \
+         {} levels (counts exact, energy and latency means within 1e-9)",
+        campaign.len()
+    );
 }

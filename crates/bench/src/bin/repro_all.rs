@@ -45,7 +45,7 @@ use oxterm_bench::bench_diff::{
     compare, parse_flat_json, BenchValue, Gate, ENERGY_GATE, GATES, LEVELS_GATE,
 };
 use oxterm_bench::bench_history;
-use oxterm_bench::campaigns::{mc_campaign, supervised_qlc_campaign};
+use oxterm_bench::campaigns::{health_line, mc_campaign};
 use oxterm_bench::energy_report::{EnergyReport, WorstCaseBaseline};
 use oxterm_bench::hotpath::matrix_stats;
 use oxterm_bench::levels_report::LevelReport;
@@ -171,35 +171,9 @@ fn main() {
         }),
     }
 
-    // Fig 11/12: margins from a reduced campaign. Under `--chaos` /
-    // `--checkpoint` / `--resume` / `--quorum` the campaign runs
-    // supervised: fault-hit runs climb the retry ladder, exhausted runs
-    // leave holes in their level, and the process exit code reports
-    // degradation (3) or a quorum breach (1).
-    let supervision = tel_cli.campaign().map(|opts| {
-        supervised_qlc_campaign(runs, opts).unwrap_or_else(|e| {
-            eprintln!("repro_all: {e}");
-            std::process::exit(2);
-        })
-    });
-    let campaign = match &supervision {
-        Some((campaign, outcome)) => {
-            eprintln!("repro_all: campaign {}", outcome.summary_line());
-            checks.push(Check {
-                name: "MC campaign health (supervised)",
-                paper: "n/a".into(),
-                measured: format!(
-                    "{} of {} runs failed (quorum {:.2})",
-                    outcome.failures,
-                    outcome.results.len(),
-                    outcome.quorum
-                ),
-                pass: !outcome.quorum_breached(),
-            });
-            campaign.clone()
-        }
-        None => mc_campaign(&params, &alloc, runs, 0xA11),
-    };
+    // Fig 11/12: margins from a reduced campaign. A failed run (under
+    // `--chaos`, say) leaves a hole in its level; the exit code reports it.
+    let campaign = mc_campaign(&params, &alloc, runs, 0xA11);
     let samples: Vec<_> = campaign.iter().map(|c| c.to_level_samples()).collect();
     match analyze(&samples) {
         Ok(report) => {
@@ -318,6 +292,10 @@ fn main() {
             "SOME CHECKS FAILED — see individual binaries"
         }
     );
+    let health = health_line(&campaign);
+    if let Some(line) = &health {
+        println!("{line}");
+    }
 
     // Streaming per-level distribution report: the nested artifact is
     // always written; the flat form feeds the drift gate and (on
@@ -379,14 +357,14 @@ fn main() {
         }
     }
     tel_cli.finish();
-    // Anchor/bench failures dominate; otherwise the supervised campaign's
-    // code reports graceful degradation (3) or a quorum breach (1).
-    let mut code = if all_pass && gates_ok { 0 } else { 1 };
-    if code == 0 {
-        if let Some((_, outcome)) = &supervision {
-            code = outcome.exit_code();
-        }
-    }
+    // A failed check or gate exits 1; otherwise failed campaign runs exit 3.
+    let code = if !(all_pass && gates_ok) {
+        1
+    } else if health.is_some() {
+        3
+    } else {
+        0
+    };
     std::process::exit(code);
 }
 

@@ -6,14 +6,16 @@
 //! difference becomes impractical for state-of-the-art sense amplifiers.
 
 use oxterm_bench::table::{eng, Table};
+use oxterm_bench::telemetry_cli;
 use oxterm_mlc::projection::{project, ProjectionConfig};
 use oxterm_rram::params::OxramParams;
 
 fn main() {
-    let runs = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(500);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let runs = telemetry_cli::count_arg("table03", &args, 500).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(e.code);
+    });
     println!("== Table 3: projections beyond QLC ({runs} MC runs per level) ==\n");
     let params = OxramParams::calibrated();
 

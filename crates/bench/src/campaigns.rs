@@ -4,9 +4,12 @@
 //! level of an allocation, `runs` Monte Carlo programs with full
 //! variability. Running it once and slicing it three ways matches how the
 //! paper derives those artifacts from one 500-run simulation set.
+//!
+//! A run that fails (a non-converged program, a worker panic, an injected
+//! `--chaos` fault) is never retried: it leaves a hole in its level, and
+//! [`LevelCampaign::failed`] counts the holes.
 
 use oxterm_mc::engine::MonteCarlo;
-use oxterm_mc::supervisor::{run_supervised, CampaignOutcome, SupervisorError, SupervisorOptions};
 use oxterm_mc::sweep::sweep_mc_try;
 use oxterm_mlc::levels::{LevelAllocation, LevelSpec};
 use oxterm_mlc::margins::LevelSamples;
@@ -25,8 +28,10 @@ use oxterm_telemetry::levels::LevelTracker;
 pub struct LevelCampaign {
     /// The level programmed.
     pub spec: LevelSpec,
-    /// One outcome per Monte Carlo run.
+    /// One outcome per successful Monte Carlo run, in run order.
     pub outcomes: Vec<ProgramOutcome>,
+    /// Runs that failed and left a hole in `outcomes`.
+    pub failed: usize,
 }
 
 impl LevelCampaign {
@@ -58,10 +63,10 @@ impl LevelCampaign {
 /// Runs the full campaign: `runs` Monte Carlo programs per level of
 /// `alloc`, in parallel, deterministically seeded.
 ///
-/// # Panics
-///
-/// Panics if any program operation fails — the allocation must sit inside
-/// the calibrated model's programmable window.
+/// Every run goes through [`sweep_mc_try`]: a failed run is recorded in
+/// telemetry with its replay seed (plus one post-mortem bundle when
+/// capture is on) and leaves a hole in its level; the other runs keep
+/// their own RNG streams, so their outcomes do not move.
 pub fn mc_campaign(
     params: &OxramParams,
     alloc: &LevelAllocation,
@@ -71,11 +76,9 @@ pub fn mc_campaign(
     let cond = ProgramConditions::paper();
     let var = McVariability::default();
     let levels: Vec<LevelSpec> = alloc.levels().to_vec();
-    // The fallible sweep records any failed run (with its replayable seed)
-    // in telemetry before this function panics on it. Successful runs
-    // additionally feed the streaming level tracker (one branch when
-    // disarmed), which is where the level report gets its
-    // distributions from.
+    // Only successful runs feed the streaming level tracker and joule
+    // ledger (one branch each when disarmed), so their counts always
+    // equal the batch counts below.
     let results = sweep_mc_try(&levels, MonteCarlo::new(runs, seed), |spec, _, rng| {
         let out = program_cell_mc(params, alloc, spec.code, &cond, &var, rng);
         if let Ok(o) = &out {
@@ -86,14 +89,24 @@ pub fn mc_campaign(
     });
     results
         .into_iter()
-        .map(|(spec, outcomes)| LevelCampaign {
-            spec,
-            outcomes: outcomes
-                .into_iter()
-                .collect::<Result<Vec<_>, _>>()
-                .expect("level inside programmable window"),
+        .map(|(spec, results)| {
+            let outcomes: Vec<_> = results.into_iter().filter_map(Result::ok).collect();
+            LevelCampaign {
+                spec,
+                failed: runs - outcomes.len(),
+                outcomes,
+            }
         })
         .collect()
+}
+
+/// The one-line campaign health report, `campaign health: F of N runs
+/// failed`, or `None` when every run succeeded. Binaries print it and exit
+/// 3 when no check failed, so a clean run's stdout never changes.
+pub fn health_line(campaign: &[LevelCampaign]) -> Option<String> {
+    let failed: usize = campaign.iter().map(|c| c.failed).sum();
+    let total: usize = failed + campaign.iter().map(|c| c.outcomes.len()).sum::<usize>();
+    (failed > 0).then(|| format!("campaign health: {failed} of {total} runs failed"))
 }
 
 /// The standard campaign used across the figure binaries: the paper's QLC
@@ -105,54 +118,6 @@ pub fn paper_qlc_campaign(runs: usize) -> Vec<LevelCampaign> {
         runs,
         0xD47E_2021,
     )
-}
-
-/// Supervised variant of [`paper_qlc_campaign`]: `runs` programs per QLC
-/// level flattened into one `16 × runs` campaign (run `i` programs level
-/// `i / runs`), executed under [`run_supervised`] so retries,
-/// panic isolation, checkpoint/resume and quorum bookkeeping cover the
-/// whole figure in a single ledger.
-///
-/// Runs that exhaust their attempts simply leave a hole in their
-/// level's sample set; the returned [`CampaignOutcome`] carries the
-/// failure fraction and suggested process exit code. The flat indexing
-/// gives this path its own (fully deterministic) sample streams — it is
-/// deliberately not bit-compatible with the unsupervised per-level sweep
-/// of [`mc_campaign`].
-pub fn supervised_qlc_campaign(
-    runs: usize,
-    opts: &SupervisorOptions,
-) -> Result<(Vec<LevelCampaign>, CampaignOutcome<ProgramOutcome>), SupervisorError> {
-    let params = OxramParams::calibrated();
-    let alloc = LevelAllocation::paper_qlc();
-    let cond = ProgramConditions::paper();
-    let var = McVariability::default();
-    let levels: Vec<LevelSpec> = alloc.levels().to_vec();
-    let total = levels.len() * runs;
-    let outcome = run_supervised(MonteCarlo::new(total, 0xD47E_2021), opts, |attempt, rng| {
-        let spec = &levels[attempt.run_index as usize / runs];
-        let out = program_cell_mc(&params, &alloc, spec.code, &cond, &var, rng)
-            .map_err(|e| e.to_string())?;
-        // Feed the streaming tracker only on success: failed attempts
-        // (including injected chaos faults) must not pollute the level
-        // distributions, and a retried run contributes exactly its one
-        // successful outcome.
-        LevelTracker::global().observe(spec.code, spec.i_ref, out.r_read_ohms);
-        JouleLedger::global().observe_level(spec.code, spec.i_ref, out.energy_j, out.latency_s);
-        Ok(out)
-    })?;
-    let campaigns = levels
-        .iter()
-        .enumerate()
-        .map(|(k, &spec)| LevelCampaign {
-            spec,
-            outcomes: outcome.results[k * runs..(k + 1) * runs]
-                .iter()
-                .filter_map(|r| r.as_ref().ok().cloned())
-                .collect(),
-        })
-        .collect();
-    Ok((campaigns, outcome))
 }
 
 /// Runs one designated circuit-level program with signal probes attached,
@@ -202,29 +167,10 @@ mod tests {
         assert_eq!(campaign.len(), 16);
         for lc in &campaign {
             assert_eq!(lc.outcomes.len(), 5);
+            assert_eq!(lc.failed, 0);
             assert!(lc.resistances().iter().all(|&r| r > 10e3));
         }
-    }
-
-    #[test]
-    fn supervised_campaign_covers_every_level_cleanly() {
-        let (campaign, outcome) =
-            supervised_qlc_campaign(3, &SupervisorOptions::default()).expect("campaign runs");
-        assert_eq!(campaign.len(), 16);
-        assert_eq!(outcome.exit_code(), 0);
-        assert_eq!(outcome.failures, 0);
-        for lc in &campaign {
-            assert_eq!(lc.outcomes.len(), 3);
-            assert!(lc.resistances().iter().all(|&r| r > 10e3));
-        }
-    }
-
-    #[test]
-    fn supervised_campaign_is_deterministic() {
-        let a = supervised_qlc_campaign(2, &SupervisorOptions::default()).expect("campaign runs");
-        let b = supervised_qlc_campaign(2, &SupervisorOptions::default()).expect("campaign runs");
-        assert_eq!(a.0[7].resistances(), b.0[7].resistances());
-        assert_eq!(a.0[7].energies(), b.0[7].energies());
+        assert_eq!(health_line(&campaign), None);
     }
 
     #[test]

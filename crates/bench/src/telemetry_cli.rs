@@ -40,31 +40,19 @@
 //! * `--chaos=SPEC` — arm deterministic fault injection for the binary's
 //!   Monte Carlo campaigns (e.g.
 //!   `newton_stall:p=0.02,nan_stamp:p=0.005,panic:p=0.001,slow_step:p=0.01`,
-//!   optional `seed=N` entry) and run them under the campaign supervisor.
-//! * `--checkpoint[=PATH]` — stream campaign checkpoints (default
-//!   `results/checkpoint_<name>.jsonl`) so a killed campaign can resume.
-//! * `--resume=PATH` — replay completed runs from a checkpoint file;
-//!   aggregates are bit-identical to the uninterrupted campaign.
-//! * `--quorum=F` — max tolerated failure fraction (default 0.1 when
-//!   supervision is active); a degraded-but-useful campaign exits 3, a
-//!   breached one exits 1.
+//!   optional `seed=N` entry). The campaigns run unchanged; a run the plan
+//!   hits fails and leaves a hole in its level.
 //! * `--profile[=PATH]` — arm the hierarchical phase profiler; at exit,
 //!   print the hot-path attribution (ASCII phase tree + matrix stats) and
 //!   write the JSON report to `PATH` (default
 //!   `results/hotpath_<name>.json`). The per-phase totals are also folded
 //!   into the telemetry registry as `profile.*` counters.
 //!
-//! No flag takes an empty value: `--checkpoint=`, `--trace=` or
-//! `--telemetry=json:` is a config error naming the flag, so a run can
-//! never finish and then fail to write the artifact it was asked for.
-//!
-//! Any of the four campaign flags switches the binary's Monte Carlo
-//! campaigns onto [`oxterm_mc::run_supervised`] (retry ladder, panic
-//! isolation, graceful degradation); without them the legacy unsupervised
-//! path runs byte-identically to previous releases.
+//! No flag takes an empty value: `--trace=` or `--telemetry=json:` is a
+//! config error naming the flag, so a run can never finish and then fail
+//! to write the artifact it was asked for.
 
 use crate::hotpath::{HotPathReport, MatrixStats};
-use oxterm_mc::supervisor::SupervisorOptions;
 use oxterm_spice::probe::{ProbeCapture, ProbePlan};
 use oxterm_telemetry::{
     PhaseGuard, PhaseId, Profiler, Telemetry, TraceSnapshot, TraceSpan, Tracer, Track,
@@ -134,27 +122,11 @@ pub struct ParsedFlags {
     pub artifacts_dir: Option<Option<String>>,
     /// The raw `--chaos=SPEC` string, if present (validated at `init`).
     pub chaos: Option<String>,
-    /// `Some(explicit_path)` when `--checkpoint[=PATH]` was present.
-    pub checkpoint: Option<Option<String>>,
-    /// The `--resume=PATH` path, if present.
-    pub resume: Option<String>,
-    /// The raw `--quorum=F` string, if present (validated at `init`).
-    pub quorum: Option<String>,
     /// `Some(explicit_json_path)` when `--profile[=PATH]` was present
     /// (`None` inside means the default `results/hotpath_<name>.json`).
     pub profile: Option<Option<String>>,
     /// Remaining (positional) arguments, in order.
     pub rest: Vec<String>,
-}
-
-impl ParsedFlags {
-    /// Whether any campaign-supervision flag was given.
-    pub fn wants_supervision(&self) -> bool {
-        self.chaos.is_some()
-            || self.checkpoint.is_some()
-            || self.resume.is_some()
-            || self.quorum.is_some()
-    }
 }
 
 /// Splits recognised flags from positional arguments without side effects.
@@ -197,14 +169,6 @@ pub fn parse_flags(
             parsed.artifacts_dir = Some(Some(dir.to_string()));
         } else if let Some(spec) = a.strip_prefix("--chaos=") {
             parsed.chaos = Some(spec.to_string());
-        } else if a == "--checkpoint" {
-            parsed.checkpoint = Some(None);
-        } else if let Some(path) = a.strip_prefix("--checkpoint=") {
-            parsed.checkpoint = Some(Some(path.to_string()));
-        } else if let Some(path) = a.strip_prefix("--resume=") {
-            parsed.resume = Some(path.to_string());
-        } else if let Some(q) = a.strip_prefix("--quorum=") {
-            parsed.quorum = Some(q.to_string());
         } else if a == "--profile" {
             parsed.profile = Some(None);
         } else if let Some(path) = a.strip_prefix("--profile=") {
@@ -223,8 +187,7 @@ pub fn parse_flags(
 /// A leftover `--`-prefixed argument is a flag no one recognised, an
 /// unparseable count is a typo and a second positional is one too many:
 /// all are config errors naming the argument, so a misspelled
-/// `--chekpoint=x` can never quietly run the default campaign
-/// unsupervised.
+/// `--chaos` can never quietly run the default campaign.
 pub fn count_arg(name: &str, args: &[String], default: usize) -> Result<usize, CliError> {
     if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
         return Err(CliError::config(format!("{name}: unknown flag {flag:?}")));
@@ -268,9 +231,6 @@ pub struct TelemetryCli {
     /// Probe captures handed back by the experiment (CSV + counter-track
     /// emission happens in [`TelemetryCli::finish`]).
     captures: Vec<ProbeCapture>,
-    /// Campaign supervision options when any of `--chaos` / `--checkpoint`
-    /// / `--resume` / `--quorum` was given.
-    campaign: Option<SupervisorOptions>,
     /// Whole-binary span on the bench track, opened at `init` so every
     /// trace has at least one lane framing the run.
     bench_span: TraceSpan,
@@ -291,9 +251,9 @@ pub struct TelemetryCli {
 /// `name` keys the default output files: `results/telemetry_<name>.json`
 /// and `results/trace_<name>.json`.
 ///
-/// A configuration error (empty `=VALUE`, bad `--chaos` spec,
-/// out-of-range `--quorum`) comes back as a [`CliError`]; the binary
-/// prints it and exits with [`CliError::code`].
+/// A configuration error (empty `=VALUE`, bad `--chaos` spec) comes back
+/// as a [`CliError`]; the binary prints it and exits with
+/// [`CliError::code`].
 pub fn init(name: &'static str) -> Result<(Vec<String>, TelemetryCli), CliError> {
     init_from(name, std::env::args().skip(1))
 }
@@ -311,16 +271,11 @@ pub fn init_from(
     if parsed.profile.is_some() {
         Profiler::install(Profiler::enabled());
     }
-    let campaign = campaign_options(name, &parsed)?;
     if let Some(spec) = &parsed.chaos {
         let plan = oxterm_chaos::FaultPlan::parse(spec)
             .map_err(|e| CliError::config(format!("{name}: bad --chaos spec {spec:?}: {e}")))?;
         oxterm_chaos::arm(plan);
-        eprintln!(
-            "chaos({name}): armed plan {} (hash {:#018x})",
-            plan.canonical(),
-            plan.hash()
-        );
+        eprintln!("chaos({name}): armed plan {}", plan.canonical());
     }
     let trace_to = parsed.trace.map(|explicit| {
         Tracer::install(Tracer::enabled());
@@ -348,7 +303,6 @@ pub fn init_from(
             name,
             probes: parsed.probes,
             captures: Vec::new(),
-            campaign,
             bench_span,
             profile_to: parsed
                 .profile
@@ -357,41 +311,6 @@ pub fn init_from(
             matrix: None,
         },
     ))
-}
-
-/// Builds the supervisor configuration requested by the campaign flags,
-/// or `None` when none of them was given (legacy unsupervised path).
-fn campaign_options(
-    name: &str,
-    parsed: &ParsedFlags,
-) -> Result<Option<SupervisorOptions>, CliError> {
-    if !parsed.wants_supervision() {
-        return Ok(None);
-    }
-    let mut opts = SupervisorOptions {
-        // CLI campaigns tolerate a little more than the library default:
-        // chaos smokes deliberately push several percent of runs to
-        // ladder exhaustion.
-        quorum: 0.1,
-        ..SupervisorOptions::default()
-    };
-    if let Some(q) = &parsed.quorum {
-        let v: f64 = q
-            .parse()
-            .map_err(|_| CliError::config(format!("{name}: bad --quorum value {q:?}")))?;
-        if !(0.0..=1.0).contains(&v) {
-            return Err(CliError::config(format!(
-                "{name}: --quorum must be within [0, 1], got {q}"
-            )));
-        }
-        opts.quorum = v;
-    }
-    opts.checkpoint_path = parsed
-        .checkpoint
-        .clone()
-        .map(|explicit| explicit.unwrap_or_else(|| format!("results/checkpoint_{name}.jsonl")));
-    opts.resume_from = parsed.resume.clone();
-    Ok(Some(opts))
 }
 
 impl TelemetryCli {
@@ -410,13 +329,6 @@ impl TelemetryCli {
         ProbePlan::parse(spec).map(Some).map_err(|e| {
             CliError::config(format!("{}: bad --probes spec {spec:?}: {e}", self.name))
         })
-    }
-
-    /// The campaign supervision options requested by `--chaos` /
-    /// `--checkpoint` / `--resume` / `--quorum`, or `None` when the
-    /// binary should keep its legacy unsupervised Monte Carlo path.
-    pub fn campaign(&self) -> Option<&SupervisorOptions> {
-        self.campaign.as_ref()
     }
 
     /// Hands a finished probe capture back for emission at
@@ -610,7 +522,6 @@ mod tests {
             p.rest,
             strings(&["--submit=127.0.0.1:7077", "200", "--chekpoint=x"])
         );
-        assert!(!p.wants_supervision());
     }
 
     #[test]
@@ -637,7 +548,8 @@ mod tests {
         // `=VALUE` never reaches the run: each names itself.
         let lone = "--lint --lint=deny --metrics-out=x --metrics-listen=x --trace= \
                     --telemetry=json: --probes= --artifacts-dir= --chaos= --resume= \
-                    --quorum= --profile= --bench-history=";
+                    --quorum= --profile= --bench-history= --checkpoint --checkpoint=x \
+                    --resume=x --quorum=0.1";
         let lone = lone.split_whitespace().map(|flag| (flag, flag));
         for (args, culprit) in cases.into_iter().chain(lone) {
             let parsed = parse_flags("fig11", args.split(' ').map(String::from));
@@ -726,54 +638,10 @@ mod tests {
 
     #[test]
     fn campaign_flags_parse() {
-        let p = parse(&[
-            "--chaos=newton_stall:p=0.02,seed=7",
-            "--checkpoint",
-            "--resume=ckpt.jsonl",
-            "--quorum=0.2",
-            "500",
-        ]);
+        let p = parse(&["--chaos=newton_stall:p=0.02,seed=7", "500"]);
         assert_eq!(p.chaos, Some("newton_stall:p=0.02,seed=7".to_string()));
-        assert_eq!(p.checkpoint, Some(None));
-        assert_eq!(p.resume, Some("ckpt.jsonl".to_string()));
-        assert_eq!(p.quorum, Some("0.2".to_string()));
         assert_eq!(p.rest, vec!["500".to_string()]);
-        assert!(p.wants_supervision());
-        assert_eq!(
-            parse(&["--checkpoint=out/c.jsonl"]).checkpoint,
-            Some(Some("out/c.jsonl".to_string()))
-        );
-        assert!(!parse(&["500"]).wants_supervision());
-    }
-
-    #[test]
-    fn campaign_options_apply_cli_defaults() {
-        let opts = campaign_options("fig11", &parse(&["--checkpoint", "--quorum=0.25"]))
-            .unwrap()
-            .unwrap();
-        assert_eq!(opts.quorum, 0.25);
-        assert_eq!(
-            opts.checkpoint_path.as_deref(),
-            Some("results/checkpoint_fig11.jsonl")
-        );
-        assert_eq!(opts.resume_from, None);
-
-        let defaulted = campaign_options("fig11", &parse(&["--chaos=panic:p=0.01"]))
-            .unwrap()
-            .unwrap();
-        assert_eq!(defaulted.quorum, 0.1);
-        assert_eq!(defaulted.checkpoint_path, None);
-
-        assert_eq!(campaign_options("fig11", &parse(&["500"])).unwrap(), None);
-    }
-
-    #[test]
-    fn campaign_options_reject_bad_quorum() {
-        for bad in ["--quorum=nope", "--quorum=-0.1", "--quorum=1.5"] {
-            let err = campaign_options("fig11", &parse(&[bad])).unwrap_err();
-            assert_eq!(err.code, 2, "{bad} should be a config error");
-            assert!(err.message.contains("--quorum"), "{}", err.message);
-        }
+        assert_eq!(parse(&["500"]).chaos, None);
     }
 
     #[test]
@@ -838,9 +706,15 @@ mod tests {
 
     #[test]
     fn init_rejects_bad_chaos_spec() {
-        let err = init_from("cli_test", ["--chaos=bogus:p=2".to_string()].into_iter())
-            .expect_err("invalid chaos spec must be a config error");
-        assert_eq!(err.code, 2);
-        assert!(err.message.contains("--chaos"), "{}", err.message);
+        for (spec, culprit) in [
+            ("--chaos=bogus:p=2", "bogus"),
+            ("--chaos=panic:p=0.02:transient", "transient"),
+        ] {
+            let err = init_from("cli_test", [spec.to_string()].into_iter())
+                .expect_err("invalid chaos spec must be a config error");
+            assert_eq!(err.code, 2);
+            assert!(err.message.contains("--chaos"), "{}", err.message);
+            assert!(err.message.contains(culprit), "{}", err.message);
+        }
     }
 }

@@ -1,9 +1,9 @@
 //! Deterministic, seeded fault injection for resilience testing.
 //!
 //! The chaos layer lets a campaign driver *prove* that the failure paths of
-//! the solver and Monte Carlo stack work: retry ladders, panic isolation,
-//! post-mortem bundles and degraded completion are exercised by injecting
-//! faults at the existing solver boundaries instead of waiting for a rare
+//! the solver and Monte Carlo stack work: panic isolation, post-mortem
+//! bundles and degraded completion are exercised by injecting faults at
+//! the existing solver boundaries instead of waiting for a rare
 //! pathological cell to hit them.
 //!
 //! # Model
@@ -14,26 +14,19 @@
 //! newton_stall:p=0.02,nan_stamp:p=0.005,panic:p=0.001,slow_step:p=0.01
 //! ```
 //!
-//! and is **purely deterministic**: whether a fault fires for run `i`,
-//! attempt `k` is a function of `(plan seed, fault kind, i, k)` only — no
-//! global RNG state, no wall clock. The same spec and seed always produce
-//! the same injected-fault schedule, so chaos campaigns are replayable and
-//! checkpoint/resume remains bit-identical under injection.
-//!
-//! Faults are *persistent* by default: they re-fire on every retry attempt
-//! of an afflicted run, so the run exhausts its retry ladder and exercises
-//! the terminal failure path. A spec entry marked `:transient` instead
-//! draws an independent decision per attempt, exercising the
-//! recover-on-retry path.
+//! and is **purely deterministic**: whether a fault fires for run `i` is a
+//! function of `(plan seed, fault kind, i)` only — no global RNG state, no
+//! wall clock. The same spec and seed always produce the same
+//! injected-fault schedule, so chaos campaigns are replayable.
 //!
 //! # Hook discipline
 //!
 //! Injection sites call [`should_inject`] which, when no plan is armed, is
 //! a single relaxed atomic load — zero allocation, no locks — mirroring the
 //! trace-layer discipline (pinned by a counting-allocator test). When a
-//! plan is armed, the Monte Carlo layer brackets each worker attempt with
+//! plan is armed, the Monte Carlo layer brackets each worker run with
 //! [`begin_run`]/[`end_run`]; sites outside a bracketed run never inject.
-//! Each fault kind fires at most once per attempt.
+//! Each fault kind fires at most once per run.
 
 #![forbid(unsafe_code)]
 
@@ -68,7 +61,7 @@ pub const ALL_KINDS: [FaultKind; KIND_COUNT] = [
 ];
 
 /// Per-kind salts decorrelating the injection decisions of different
-/// fault kinds at the same `(run, attempt)`.
+/// fault kinds at the same run.
 const KIND_SALTS: [u64; KIND_COUNT] = [
     0x9D39_247E_3377_6D41,
     0x2FDD_81DB_E69A_F2E2,
@@ -108,16 +101,13 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// One armed fault class: kind, per-run probability, persistence.
+/// One armed fault class: kind and per-run probability.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// Which hook this spec drives.
     pub kind: FaultKind,
-    /// Per-run (or, if transient, per-attempt) injection probability.
+    /// Per-run injection probability.
     pub p: f64,
-    /// `false` (default): the fault re-fires on every retry attempt of an
-    /// afflicted run. `true`: an independent decision per attempt.
-    pub transient: bool,
 }
 
 /// Error from [`FaultPlan::parse`]; `Display` names the offending entry.
@@ -182,7 +172,7 @@ impl FaultPlan {
     /// Parses a `--chaos` spec string.
     ///
     /// Grammar: comma-separated entries, each either `seed=N` (decimal or
-    /// `0x` hex) or `KIND:p=FLOAT[:transient]` with `KIND` one of
+    /// `0x` hex) or `KIND:p=FLOAT` with `KIND` one of
     /// `newton_stall`, `nan_stamp`, `panic`, `slow_step` and the
     /// probability in `[0, 1]`.
     pub fn parse(spec: &str) -> Result<FaultPlan, ChaosParseError> {
@@ -222,20 +212,13 @@ impl FaultPlan {
             if !(0.0..=1.0).contains(&p) {
                 return Err(parse_err(format!("probability {p} out of range [0, 1]")));
             }
-            let transient = match parts.next() {
-                None => false,
-                Some("transient") => true,
-                Some(other) => {
-                    return Err(parse_err(format!(
-                        "`{entry}`: unknown modifier `{other}` \
-                         (only `transient` is recognised)"
-                    )))
-                }
-            };
+            if let Some(other) = parts.next() {
+                return Err(parse_err(format!("`{entry}`: unknown modifier `{other}`")));
+            }
             if plan.specs[kind.index()].is_some() {
                 return Err(parse_err(format!("duplicate entry for `{name}`")));
             }
-            plan.specs[kind.index()] = Some(FaultSpec { kind, p, transient });
+            plan.specs[kind.index()] = Some(FaultSpec { kind, p });
             any = true;
         }
         if !any {
@@ -251,69 +234,28 @@ impl FaultPlan {
         for kind in ALL_KINDS {
             if let Some(s) = self.specs[kind.index()] {
                 out.push_str(&format!(",{}:p={}", kind.name(), s.p));
-                if s.transient {
-                    out.push_str(":transient");
-                }
             }
         }
         out
     }
 
-    /// Stable content hash of the plan (FNV-1a over seed, kinds and the
-    /// probabilities' bit patterns). Stored in campaign checkpoints so a
-    /// `--resume` under a different plan is rejected.
-    pub fn hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(&self.seed.to_le_bytes());
-        for kind in ALL_KINDS {
-            match self.specs[kind.index()] {
-                None => eat(&[0xFF]),
-                Some(s) => {
-                    eat(&[kind.index() as u8, s.transient as u8]);
-                    eat(&s.p.to_bits().to_le_bytes());
-                }
-            }
-        }
-        // Four slots of retired kinds, hashed as unarmed so that plan
-        // hashes, and the checkpoints that store them, stay stable.
-        eat(&[0xFF; 4]);
-        h
-    }
-
-    /// Pure injection decision for `(run, attempt, kind)`.
-    ///
-    /// Persistent specs ignore `attempt` (the fault follows the run through
-    /// its whole retry ladder); transient specs draw an independent
-    /// decision per attempt.
-    pub fn injects(&self, run: u64, attempt: u64, kind: FaultKind) -> bool {
+    /// Pure injection decision for `(run, kind)`.
+    pub fn injects(&self, run: u64, kind: FaultKind) -> bool {
         let Some(spec) = self.specs[kind.index()] else {
             return false;
         };
-        let mut x = self.seed ^ KIND_SALTS[kind.index()] ^ splitmix64(run);
-        if spec.transient {
-            x ^= splitmix64(attempt.wrapping_add(0xA77E_3D47));
-        }
+        let x = self.seed ^ KIND_SALTS[kind.index()] ^ splitmix64(run);
         unit_interval(splitmix64(x)) < spec.p
     }
 
-    /// The full first-attempt injection schedule over `runs` runs, in
-    /// `(run, kind)` order — the determinism tests' ground truth.
+    /// The full injection schedule over `runs` runs, in `(run, kind)`
+    /// order — the determinism tests' ground truth.
     pub fn schedule(&self, runs: u64) -> Vec<Injection> {
         let mut out = Vec::new();
         for run in 0..runs {
             for kind in ALL_KINDS {
-                if self.injects(run, 0, kind) {
-                    out.push(Injection {
-                        run,
-                        attempt: 0,
-                        kind,
-                    });
+                if self.injects(run, kind) {
+                    out.push(Injection { run, kind });
                 }
             }
         }
@@ -340,8 +282,6 @@ fn unit_interval(h: u64) -> f64 {
 pub struct Injection {
     /// Campaign run index.
     pub run: u64,
-    /// Retry-ladder attempt (0-based).
-    pub attempt: u64,
     /// Which fault fired.
     pub kind: FaultKind,
 }
@@ -370,7 +310,6 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 struct RunCtx {
     plan: FaultPlan,
     run: u64,
-    attempt: u64,
     fired: [bool; KIND_COUNT],
 }
 
@@ -405,14 +344,13 @@ pub fn armed_plan() -> Option<FaultPlan> {
     *lock_recover(&PLAN)
 }
 
-/// Brackets the start of one worker attempt: copies the armed plan into
-/// this thread's run context so hooks can decide without locking. A no-op
+/// Brackets the start of one worker run: copies the armed plan into this
+/// thread's run context so hooks can decide without locking. A no-op
 /// (clears the context) when nothing is armed.
-pub fn begin_run(run: u64, attempt: u64) {
+pub fn begin_run(run: u64) {
     let ctx = armed_plan().map(|plan| RunCtx {
         plan,
         run,
-        attempt,
         fired: [false; KIND_COUNT],
     });
     CTX.with(|c| c.set(ctx));
@@ -427,7 +365,7 @@ pub fn end_run() {
 ///
 /// Disarmed (the default): one relaxed atomic load, zero allocation.
 /// Armed: consults the thread-local run context; fires at most once per
-/// kind per attempt and appends to the injection log.
+/// kind per run and appends to the injection log.
 pub fn should_inject(kind: FaultKind) -> bool {
     if !ARMED.load(Ordering::Relaxed) {
         return false;
@@ -439,15 +377,11 @@ pub fn should_inject(kind: FaultKind) -> bool {
         if ctx.fired[kind.index()] {
             return false;
         }
-        if !ctx.plan.injects(ctx.run, ctx.attempt, kind) {
+        if !ctx.plan.injects(ctx.run, kind) {
             return false;
         }
         ctx.fired[kind.index()] = true;
-        let injection = Injection {
-            run: ctx.run,
-            attempt: ctx.attempt,
-            kind,
-        };
+        let injection = Injection { run: ctx.run, kind };
         c.set(Some(ctx));
         INJECTED.fetch_add(1, Ordering::Relaxed);
         lock_recover(&LOG).push(injection);
@@ -482,16 +416,20 @@ mod tests {
         assert_eq!(p.spec(FaultKind::NanStamp).unwrap().p, 0.005);
         assert_eq!(p.spec(FaultKind::Panic).unwrap().p, 0.001);
         assert_eq!(p.spec(FaultKind::SlowStep).unwrap().p, 0.01);
-        assert!(!p.spec(FaultKind::NewtonStall).unwrap().transient);
     }
 
     #[test]
     fn parse_seed_and_transient() {
-        let p = plan("seed=0xDEAD_BEEF,newton_stall:p=0.5:transient");
+        let p = plan("seed=0xDEAD_BEEF,newton_stall:p=0.5");
         assert_eq!(p.seed(), 0xDEAD_BEEF);
-        assert!(p.spec(FaultKind::NewtonStall).unwrap().transient);
         let p2 = plan("seed=42,panic:p=1.0");
         assert_eq!(p2.seed(), 42);
+        // Every decision is per run: the retired `:transient` modifier is
+        // an error naming itself.
+        let err = FaultPlan::parse("seed=42,newton_stall:p=0.5:transient")
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("unknown modifier `transient`"), "{err}");
     }
 
     #[test]
@@ -503,6 +441,7 @@ mod tests {
         assert!(FaultPlan::parse("panic:p=-0.1").is_err());
         assert!(FaultPlan::parse("panic:0.1").is_err());
         assert!(FaultPlan::parse("panic:p=0.1:sometimes").is_err());
+        assert!(FaultPlan::parse("panic:p=0.1:transient").is_err());
         assert!(FaultPlan::parse("panic:p=0.1,panic:p=0.2").is_err());
         assert!(FaultPlan::parse("seed=zzz,panic:p=0.1").is_err());
         let retired = FaultPlan::parse("queue_full:p=0.1")
@@ -517,44 +456,43 @@ mod tests {
 
     #[test]
     fn canonical_round_trips_and_hash_is_stable() {
-        let p = plan("slow_step:p=0.01,newton_stall:p=0.02:transient,seed=7");
+        let p = plan("slow_step:p=0.01,newton_stall:p=0.02,seed=7");
         let rt = plan(&p.canonical());
         assert_eq!(p, rt);
-        assert_eq!(p.hash(), rt.hash());
-        // Different seed or probability => different hash.
+        assert_eq!(p.canonical(), rt.canonical());
+        // Different seed or probability => different canonical spec.
         assert_ne!(
-            p.hash(),
-            plan("slow_step:p=0.01,newton_stall:p=0.02:transient,seed=8").hash()
+            p.canonical(),
+            plan("slow_step:p=0.01,newton_stall:p=0.02,seed=8").canonical()
         );
         assert_ne!(
-            p.hash(),
-            plan("slow_step:p=0.02,newton_stall:p=0.02:transient,seed=7").hash()
+            p.canonical(),
+            plan("slow_step:p=0.02,newton_stall:p=0.02,seed=7").canonical()
         );
     }
 
     #[test]
     fn chaos_smoke_plan_schedule_and_hash_are_pinned() {
-        // The CI chaos-smoke plan: its first-attempt schedule and hash are
-        // golden values, so a change to the kind tables cannot move an
-        // injection or invalidate a checkpoint written under the plan.
-        let p = plan("newton_stall:p=0.08,panic:p=0.02:transient,seed=77");
-        assert_eq!(p.hash(), 0xc7b9_5323_aba4_cdb9);
+        // The CI chaos-smoke plan: its schedule is a golden value, so a
+        // change to the kind tables cannot move an injection.
+        let p = plan("newton_stall:p=0.08,panic:p=0.02,seed=77");
         let stall = [
             6, 9, 19, 47, 56, 80, 110, 149, 152, 171, 174, 181, 190, 200, 230, 289, 293, 307, 319,
             334, 355, 363, 368, 370, 373,
         ];
-        let panic = [139, 245, 262];
+        let panic = [174, 243, 283, 316, 356, 395];
         let mut want: Vec<Injection> = stall
             .iter()
-            .map(|&run| (run, FaultKind::NewtonStall))
-            .chain(panic.iter().map(|&run| (run, FaultKind::Panic)))
-            .map(|(run, kind)| Injection {
+            .map(|&run| Injection {
                 run,
-                attempt: 0,
-                kind,
+                kind: FaultKind::NewtonStall,
             })
+            .chain(panic.iter().map(|&run| Injection {
+                run,
+                kind: FaultKind::Panic,
+            }))
             .collect();
-        want.sort_by_key(|i| i.run);
+        want.sort_by_key(|i| (i.run, i.kind.index()));
         assert_eq!(p.schedule(400), want);
     }
 
@@ -579,37 +517,12 @@ mod tests {
     }
 
     #[test]
-    fn persistent_faults_follow_the_run_across_attempts() {
-        let p = plan("newton_stall:p=0.2,seed=5");
-        for run in 0..200 {
-            let first = p.injects(run, 0, FaultKind::NewtonStall);
-            for attempt in 1..4 {
-                assert_eq!(first, p.injects(run, attempt, FaultKind::NewtonStall));
-            }
-        }
-    }
-
-    #[test]
-    fn transient_faults_vary_by_attempt() {
-        let p = plan("newton_stall:p=0.5:transient,seed=5");
-        let mut differs = false;
-        for run in 0..100 {
-            let d0 = p.injects(run, 0, FaultKind::NewtonStall);
-            let d1 = p.injects(run, 1, FaultKind::NewtonStall);
-            if d0 != d1 {
-                differs = true;
-            }
-        }
-        assert!(differs, "transient decisions never varied across attempts");
-    }
-
-    #[test]
     fn hooks_fire_once_per_attempt_and_log() {
         // Serialise against other tests touching the global plan.
         let _guard = lock_recover(&GLOBAL_TEST_LOCK);
         drain_injections();
         arm(plan("panic:p=1.0,seed=1"));
-        begin_run(7, 2);
+        begin_run(7);
         assert!(should_inject(FaultKind::Panic));
         assert!(
             !should_inject(FaultKind::Panic),
@@ -627,7 +540,6 @@ mod tests {
             log,
             vec![Injection {
                 run: 7,
-                attempt: 2,
                 kind: FaultKind::Panic
             }]
         );
@@ -646,7 +558,7 @@ mod tests {
     fn disarmed_hook_is_inert() {
         let _guard = lock_recover(&GLOBAL_TEST_LOCK);
         disarm();
-        begin_run(0, 0);
+        begin_run(0);
         assert!(!should_inject(FaultKind::Panic));
         end_run();
     }

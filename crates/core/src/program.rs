@@ -70,41 +70,6 @@ pub struct ProgramOutcome {
     pub set_energy_j: f64,
 }
 
-impl oxterm_mc::checkpoint::CheckpointState for ProgramOutcome {
-    // Fixed 6-word layout: the campaign checkpoints store f64 bit
-    // patterns, so encode/decode must be bit-lossless for `--resume` to
-    // replay aggregates identically.
-    fn encode(&self) -> Vec<f64> {
-        vec![
-            f64::from(self.code),
-            self.i_ref,
-            self.r_read_ohms,
-            self.latency_s,
-            self.energy_j,
-            self.set_energy_j,
-        ]
-    }
-
-    fn decode(words: &[f64]) -> Option<Self> {
-        match words {
-            [code, i_ref, r_read_ohms, latency_s, energy_j, set_energy_j] => {
-                if !(*code >= 0.0 && *code <= f64::from(u16::MAX) && code.fract() == 0.0) {
-                    return None;
-                }
-                Some(ProgramOutcome {
-                    code: *code as u16,
-                    i_ref: *i_ref,
-                    r_read_ohms: *r_read_ohms,
-                    latency_s: *latency_s,
-                    energy_j: *energy_j,
-                    set_energy_j: *set_energy_j,
-                })
-            }
-            _ => None,
-        }
-    }
-}
-
 /// Programs one cell on the fast scalar path: full SET, then terminated
 /// RESET at the level's reference current.
 ///
@@ -634,28 +599,6 @@ mod tests {
         // The unprobed path stays probe-free.
         let bare = program_cell_circuit(&opts, Some(10e-6)).unwrap();
         assert!(bare.probes.is_empty());
-    }
-
-    #[test]
-    fn program_outcome_checkpoint_round_trip_is_bit_exact() {
-        use oxterm_mc::checkpoint::CheckpointState;
-        let out = ProgramOutcome {
-            code: 11,
-            i_ref: 6.25e-6,
-            r_read_ohms: 1.0 / 3.0 * 1e5,
-            latency_s: 0.1 + 0.2,
-            energy_j: 6.02e-13,
-            set_energy_j: -0.0,
-        };
-        let decoded = ProgramOutcome::decode(&out.encode()).expect("decodes");
-        assert_eq!(out.code, decoded.code);
-        for (a, b) in out.encode().iter().zip(decoded.encode().iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // Shape and range violations refuse to decode.
-        assert!(ProgramOutcome::decode(&[1.0; 5]).is_none());
-        assert!(ProgramOutcome::decode(&[1.5, 0.0, 0.0, 0.0, 0.0, 0.0]).is_none());
-        assert!(ProgramOutcome::decode(&[-1.0, 0.0, 0.0, 0.0, 0.0, 0.0]).is_none());
     }
 
     #[test]

@@ -36,7 +36,7 @@ impl<E: std::fmt::Display + std::fmt::Debug> std::error::Error for RunError<E> {
 
 /// Renders a `catch_unwind` payload as a string (panics carry `&str` or
 /// `String` in practice; anything else gets a placeholder).
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -248,7 +248,7 @@ impl MonteCarlo {
                 // on this worker thread.
                 let _ = postmortem::take_last();
             }
-            oxterm_chaos::begin_run(i as u64, 0);
+            oxterm_chaos::begin_run(i as u64);
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 if oxterm_chaos::should_inject(oxterm_chaos::FaultKind::Panic) {
                     Telemetry::global().incr("chaos.injected.panic");
@@ -324,7 +324,7 @@ impl MonteCarlo {
     }
 }
 
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
+fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -9,11 +9,12 @@
 //!   independent RNG derived from `(seed, run_index)`, so results are
 //!   bit-identical regardless of thread count or scheduling,
 //! * [`sweep`] — parameter sweeps of Monte Carlo campaigns,
-//! * [`supervisor`] — resilient campaign supervision: per-run retries on
-//!   re-derived RNG streams, `catch_unwind` panic isolation and graceful
-//!   degradation under a failure quorum,
-//! * [`checkpoint`] — crash-safe campaign snapshots (`f64` bit patterns,
-//!   atomic tmp+rename writes) that `--resume` replays bit-identically.
+//! * [`progress`] — the live campaign status line.
+//!
+//! A fallible campaign ([`MonteCarlo::try_run`], [`sweep::sweep_mc_try`])
+//! isolates each run's panics, brackets it for `oxterm-chaos` fault
+//! injection and writes one post-mortem bundle per failed run; a failed
+//! run is returned in place and never retried.
 //!
 //! # Examples
 //!
@@ -29,14 +30,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod checkpoint;
 pub mod convergence;
 pub mod corners;
 pub mod dist;
 pub mod engine;
 pub mod progress;
-pub mod supervisor;
 pub mod sweep;
 
 pub use engine::{MonteCarlo, RunError};
-pub use supervisor::{run_supervised, CampaignOutcome, SupervisorOptions};

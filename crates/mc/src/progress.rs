@@ -3,15 +3,15 @@
 //! When enabled (`--progress` on the bench CLIs), the Monte Carlo engine
 //! prints a throttled status line to stderr while a campaign runs: runs
 //! done/total, throughput, ETA, worker utilization, the live
-//! convergence-failure and retry counts, and the per-level and energy
+//! convergence-failure count, and the per-level and energy
 //! segments when those observers are armed. The reporter is
 //! allocation-free on the per-run path and costs one atomic increment plus
 //! a `try_lock` per tick; when disabled it is a single branch.
 //!
-//! Failure and retry counting is process-global ([`note_failure`],
-//! [`note_retry`]) because the fallible closure handed to
-//! [`MonteCarlo::try_run`] is opaque to the engine mid-flight.
-//! [`CampaignProgress::start`] resets the counters, which is correct for
+//! Failure counting is process-global ([`note_failure`]) because the
+//! fallible closure handed to [`MonteCarlo::try_run`] is opaque to the
+//! engine mid-flight. [`CampaignProgress::start`] resets the count, which
+//! is correct for
 //! the sequential campaigns the bench binaries run.
 //!
 //! [`MonteCarlo::try_run`]: crate::MonteCarlo::try_run
@@ -28,7 +28,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 const THROTTLE_NS: u64 = 500_000_000;
 
 static FAILURES: AtomicU64 = AtomicU64::new(0);
-static RETRIES: AtomicU64 = AtomicU64::new(0);
 
 /// The most recent failure's replay seed and artifact path, for the status
 /// line — a hung overnight campaign is then debuggable from stderr alone.
@@ -51,13 +50,6 @@ static LAST_FAILURE: Mutex<Option<LastFailure>> = Mutex::new(None);
 pub fn note_failure(seed: u64, artifact: Option<String>) {
     FAILURES.fetch_add(1, Ordering::Relaxed);
     *LAST_FAILURE.lock() = Some(LastFailure { seed, artifact });
-}
-
-/// Records one retried attempt for the live status line (the campaign
-/// supervisor calls this when a failed attempt is about to be retried
-/// rather than declared a failure).
-pub fn note_retry() {
-    RETRIES.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Status-line suffix describing the most recent failure (empty while no
@@ -98,7 +90,6 @@ impl CampaignProgress {
     /// process-wide progress switch is on.
     pub fn start(total: usize, threads: usize) -> Self {
         FAILURES.store(0, Ordering::Relaxed);
-        RETRIES.store(0, Ordering::Relaxed);
         *LAST_FAILURE.lock() = None;
         let now = monotonic_ns();
         CampaignProgress {
@@ -157,7 +148,6 @@ impl CampaignProgress {
         let elapsed = monotonic_ns().saturating_sub(self.started_ns) as f64 / 1e9;
         let busy = self.busy_ns.load(Ordering::Relaxed) as f64 / 1e9;
         let failures = FAILURES.load(Ordering::Relaxed);
-        let retries = RETRIES.load(Ordering::Relaxed);
         let status = compose_line(
             done,
             self.total,
@@ -165,7 +155,6 @@ impl CampaignProgress {
             elapsed,
             busy,
             failures,
-            retries,
             last,
             &last_failure_suffix(failures),
         );
@@ -233,7 +222,6 @@ fn compose_line(
     elapsed_s: f64,
     busy_s: f64,
     failures: u64,
-    retries: u64,
     last: bool,
     failure_suffix: &str,
 ) -> String {
@@ -265,14 +253,9 @@ fn compose_line(
         let eta = (total - done) as f64 / rate;
         format!("eta {eta:.1}s")
     };
-    let retry_part = if retries > 0 {
-        format!(" retries {retries}")
-    } else {
-        String::new()
-    };
     format!(
         "mc: {done}/{total} ({pct:.1}%) | {rate:.1} runs/s | {timing} | \
-         util {util:.0}% | failures {failures}{retry_part}{failure_suffix}"
+         util {util:.0}% | failures {failures}{failure_suffix}"
     )
 }
 
@@ -310,11 +293,11 @@ mod tests {
         // Degenerate campaign shapes: nothing completed, zero wall time,
         // zero threads, all runs failed, zero total.
         let cases = [
-            compose_line(0, 100, 4, 0.0, 0.0, 0, 0, false, ""),
-            compose_line(0, 100, 4, f64::NAN, f64::NAN, 0, 0, false, ""),
-            compose_line(0, 0, 0, 0.0, 0.0, 0, 0, true, ""),
-            compose_line(50, 50, 4, 0.0, 0.0, 50, 0, true, ""),
-            compose_line(1, 100, 4, -1.0, -1.0, 1, 0, false, ""),
+            compose_line(0, 100, 4, 0.0, 0.0, 0, false, ""),
+            compose_line(0, 100, 4, f64::NAN, f64::NAN, 0, false, ""),
+            compose_line(0, 0, 0, 0.0, 0.0, 0, true, ""),
+            compose_line(50, 50, 4, 0.0, 0.0, 50, true, ""),
+            compose_line(1, 100, 4, -1.0, -1.0, 1, false, ""),
         ];
         for line in &cases {
             assert!(!line.contains("inf"), "{line}");
@@ -322,24 +305,6 @@ mod tests {
         }
         // Zero-completed campaigns show a placeholder ETA, not a number.
         assert!(cases[0].contains("eta --"), "{}", cases[0]);
-    }
-
-    #[test]
-    fn compose_line_shows_retries_next_to_failures() {
-        let line = compose_line(10, 20, 2, 1.0, 1.5, 3, 7, false, "");
-        assert!(line.contains("failures 3 retries 7"), "{line}");
-        let quiet = compose_line(10, 20, 2, 1.0, 1.5, 0, 0, false, "");
-        assert!(!quiet.contains("retries"), "{quiet}");
-    }
-
-    #[test]
-    fn retries_reset_per_campaign() {
-        let _guard = TEST_LOCK.lock();
-        note_retry();
-        note_retry();
-        assert!(RETRIES.load(Ordering::Relaxed) >= 2);
-        let _p = CampaignProgress::start(5, 1);
-        assert_eq!(RETRIES.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -94,11 +94,6 @@ pub struct PostmortemReport {
     /// Derived replay seed (`StdRng::seed_from_u64(seed)` reproduces the
     /// run in isolation), once the engine enriched the report.
     pub seed: Option<u64>,
-    /// Retry-ladder attempt this failure terminated on (1-based), once the
-    /// campaign supervisor enriched the report.
-    pub attempt: Option<u64>,
-    /// Retry-ladder size the supervisor was running with.
-    pub max_attempts: Option<u64>,
     /// Where this report was already written, if it was.
     pub artifact_path: Option<String>,
 }
@@ -129,12 +124,6 @@ impl PostmortemReport {
             w.u64("seed", seed);
             w.string("seed_hex", &format!("{seed:#018x}"));
             w.string("replay", "StdRng::seed_from_u64(seed) replays this run");
-        }
-        if let Some(attempt) = self.attempt {
-            w.u64("attempt", attempt);
-        }
-        if let Some(max_attempts) = self.max_attempts {
-            w.u64("max_attempts", max_attempts);
         }
         w.begin_array_key("residual_history");
         for r in &self.residual_history {
@@ -209,13 +198,6 @@ thread_local! {
     /// The most recent failure report built on this thread; the Monte
     /// Carlo engine takes it to enrich with run index and replay seed.
     static LAST: RefCell<Option<PostmortemReport>> = const { RefCell::new(None) };
-
-    /// While `true`, [`record`] behaves like [`stash`]: the report is kept
-    /// thread-locally but no artifact is written. The campaign supervisor
-    /// sets this around retryable attempts so a run that fails, retries and
-    /// fails again leaves exactly one artifact (for its *final* attempt),
-    /// not one per attempt.
-    static DEFERRED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// Turns in-memory report capture on or off without configuring a
@@ -250,31 +232,14 @@ pub fn artifacts_dir() -> Option<String> {
 /// configured, writes it to disk immediately. Returns the artifact path if
 /// one was written.
 ///
-/// No-op returning `None` when capture is off. While [`set_deferred`] is
-/// in effect on this thread, degrades to [`stash`] (no artifact written).
+/// No-op returning `None` when capture is off.
 pub fn record(mut report: PostmortemReport) -> Option<String> {
     if !is_active() {
-        return None;
-    }
-    if is_deferred() {
-        LAST.with(|slot| *slot.borrow_mut() = Some(report));
         return None;
     }
     let path = write_report(&mut report);
     LAST.with(|slot| *slot.borrow_mut() = Some(report));
     path
-}
-
-/// Switches this thread's artifact writes into (or out of) deferred mode;
-/// see the `DEFERRED` thread-local. Returns the previous setting so
-/// callers can restore it.
-pub fn set_deferred(deferred: bool) -> bool {
-    DEFERRED.with(|d| d.replace(deferred))
-}
-
-/// Whether this thread currently defers artifact writes.
-pub fn is_deferred() -> bool {
-    DEFERRED.with(|d| d.get())
 }
 
 /// Stores a report thread-locally **without** writing an artifact.
@@ -396,36 +361,6 @@ mod tests {
         set_capture(false);
         assert!(record(sample()).is_none());
         assert!(take_last().is_none());
-    }
-
-    #[test]
-    fn attempt_fields_serialize_when_present() {
-        let mut r = sample();
-        r.attempt = Some(3);
-        r.max_attempts = Some(3);
-        let json = r.to_json();
-        assert!(json.contains(r#""attempt":3"#), "{json}");
-        assert!(json.contains(r#""max_attempts":3"#), "{json}");
-        let without = sample().to_json();
-        assert!(!without.contains("attempt"), "{without}");
-    }
-
-    #[test]
-    fn deferred_record_stashes_without_writing() {
-        let _capture = capture_lock();
-        set_capture(true);
-        let was = set_deferred(true);
-        let path = record(sample());
-        assert!(path.is_none(), "deferred record must not write");
-        let taken = take_last().expect("report still stashed");
-        assert_eq!(taken.kind, "tran");
-        assert!(
-            taken.artifact_path.is_none(),
-            "deferred record must not stamp a path"
-        );
-        set_deferred(was);
-        assert!(!is_deferred() || was);
-        set_capture(false);
     }
 
     #[test]

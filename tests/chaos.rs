@@ -1,23 +1,21 @@
 //! End-to-end chaos engineering gate: deterministic fault injection driven
-//! through the supervised Monte Carlo campaign.
+//! through the Monte Carlo campaign every figure binary runs.
 //!
-//! The headline test arms a fault plan that pushes well over 5 % of a
-//! 240-run campaign into ladder exhaustion and asserts the supervisor's
-//! whole contract at once: the campaign completes degraded (exit code 3),
-//! the failed-run set matches the plan's deterministic schedule exactly,
-//! and every exhausted run leaves exactly one post-mortem bundle stamped
-//! with its attempt count. A second test kills a campaign in the middle
-//! (by truncating its checkpoint) and proves `--resume` replays the
-//! completed half bit-identically.
+//! The headline test arms a plan of Newton stalls and worker panics over
+//! a small QLC campaign and asserts the whole degraded-run contract at
+//! once: every failed run leaves a hole exactly where the plan's schedule
+//! says, the surviving runs are bit-identical to a clean campaign, the
+//! streaming tracker saw successes only, and every failed run leaves
+//! exactly one post-mortem bundle carrying its run index and seed.
 //!
 //! Chaos state is process-global, so every test that arms a plan
 //! serializes on [`CHAOS_LOCK`] and disarms on drop.
 
+use oxterm_bench::campaigns::{health_line, mc_campaign};
 use oxterm_chaos::{FaultKind, FaultPlan};
-use oxterm_mc::checkpoint::Checkpoint;
-use oxterm_mc::supervisor::Attempt;
-use oxterm_mc::{run_supervised, MonteCarlo, SupervisorOptions};
-use rand::rngs::StdRng;
+use oxterm_mlc::levels::LevelAllocation;
+use oxterm_rram::params::OxramParams;
+use oxterm_telemetry::LevelTracker;
 use std::sync::{Mutex, MutexGuard};
 
 static CHAOS_LOCK: Mutex<()> = Mutex::new(());
@@ -44,20 +42,19 @@ impl Drop for ChaosSession {
 
 #[test]
 fn fault_schedule_is_deterministic_and_seed_sensitive() {
-    let spec = "newton_stall:p=0.05,nan_stamp:p=0.02,panic:p=0.01:transient,seed=42";
+    let spec = "newton_stall:p=0.05,nan_stamp:p=0.02,panic:p=0.01,seed=42";
     let a = FaultPlan::parse(spec).expect("spec parses");
     let b = FaultPlan::parse(spec).expect("spec parses");
-    assert_eq!(a.hash(), b.hash());
+    assert_eq!(a.canonical(), b.canonical());
     assert_eq!(a.schedule(400), b.schedule(400));
     assert!(
         !a.schedule(400).is_empty(),
         "a 400-run schedule at these rates must fire"
     );
 
-    let reseeded =
-        FaultPlan::parse("newton_stall:p=0.05,nan_stamp:p=0.02,panic:p=0.01:transient,seed=43")
-            .expect("spec parses");
-    assert_ne!(a.hash(), reseeded.hash());
+    let reseeded = FaultPlan::parse("newton_stall:p=0.05,nan_stamp:p=0.02,panic:p=0.01,seed=43")
+        .expect("spec parses");
+    assert_ne!(a.canonical(), reseeded.canonical());
     assert_ne!(
         a.schedule(400),
         reseeded.schedule(400),
@@ -65,70 +62,79 @@ fn fault_schedule_is_deterministic_and_seed_sensitive() {
     );
 }
 
-/// The run-level failure predicate implied by the e2e plan: a persistent
-/// Newton stall fails every rung of the ladder, while a transient panic
-/// must fire on all `max_attempts` rungs to exhaust the run.
-fn plan_dooms_run(plan: &FaultPlan, run: u64, max_attempts: u64) -> bool {
-    plan.injects(run, 0, FaultKind::NewtonStall)
-        || (0..max_attempts).all(|a| plan.injects(run, a, FaultKind::Panic))
+/// Pulls the integer value of `"key":N` out of a post-mortem bundle.
+fn json_u64(text: &str, key: &str) -> Option<u64> {
+    let rest = &text[text.find(&format!("\"{key}\":"))? + key.len() + 3..];
+    let end = rest
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
 }
 
 #[test]
 fn degraded_campaign_completes_with_one_bundle_per_exhausted_run() {
-    let plan = FaultPlan::parse("newton_stall:p=0.10,panic:p=0.02:transient,seed=77")
-        .expect("spec parses");
+    // Over 16 runs this plan stalls runs 4, 5, 12 and 13 and panics run
+    // 13 (the panic fires first, so run 13 fails once).
+    let plan = FaultPlan::parse("newton_stall:p=0.1,panic:p=0.1,seed=5").expect("spec parses");
+    let runs = 16usize;
+    let hit = |run: usize, kind| plan.injects(run as u64, kind);
+    let holes: Vec<usize> = (0..runs)
+        .filter(|&r| hit(r, FaultKind::NewtonStall) || hit(r, FaultKind::Panic))
+        .collect();
+    assert!(
+        (0..runs).any(|r| hit(r, FaultKind::NewtonStall))
+            && (0..runs).any(|r| hit(r, FaultKind::Panic)),
+        "the plan must exercise both fault kinds"
+    );
+
     let session = ChaosSession::arm(plan);
+    let params = OxramParams::calibrated();
+    let alloc = LevelAllocation::paper_qlc();
+    let seed = 0x5EED_CAFE;
+    // The clean reference, run under the lock with the plan disarmed.
+    oxterm_chaos::disarm();
+    let clean = mc_campaign(&params, &alloc, runs, seed);
+    oxterm_chaos::arm(plan);
 
     let dir = std::env::temp_dir().join(format!("oxterm_chaos_e2e_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let dir_s = dir.to_string_lossy().to_string();
-    oxterm_telemetry::postmortem::set_artifacts_dir(dir_s.clone());
+    oxterm_telemetry::postmortem::set_artifacts_dir(dir.to_string_lossy().to_string());
+    // First-wins process-global install: only this test reads the tracker.
+    LevelTracker::install(LevelTracker::enabled());
+    let degraded = mc_campaign(&params, &alloc, runs, seed);
+    oxterm_telemetry::postmortem::set_capture(false);
 
-    let runs = 240usize;
-    let opts = SupervisorOptions {
-        quorum: 0.25,
-        ..SupervisorOptions::default()
-    };
-    let outcome = run_supervised(
-        MonteCarlo::new(runs, 0x5EED_CAFE),
-        &opts,
-        |att: &Attempt, _rng: &mut StdRng| -> Result<f64, String> {
-            if oxterm_chaos::should_inject(FaultKind::NewtonStall) {
-                return Err("injected newton stall".to_string());
-            }
-            Ok(att.run_index as f64)
-        },
-    )
-    .expect("supervision proceeds");
-
-    // The failed-run set is exactly the plan's deterministic schedule.
-    let expected: Vec<u64> = (0..runs as u64)
-        .filter(|&r| plan_dooms_run(&plan, r, opts.max_attempts))
-        .collect();
-    let failed: Vec<u64> = outcome
-        .results
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| r.is_err())
-        .map(|(i, _)| i as u64)
-        .collect();
-    assert_eq!(failed, expected, "failures must match the armed plan");
-
-    // ≥5 % of the campaign was pushed into exhaustion, yet the campaign
-    // finished degraded-but-useful under its quorum.
-    assert!(
-        outcome.failures as f64 >= 0.05 * runs as f64,
-        "the gate needs a ≥5 % fault rate, got {}/{runs}",
-        outcome.failures
+    // Each level's holes sit exactly on the schedule: the survivors are
+    // the clean campaign's outcomes at the unscheduled run indices.
+    let snap = LevelTracker::global().snapshot();
+    for (lc, reference) in degraded.iter().zip(&clean) {
+        assert_eq!(lc.failed, holes.len(), "level {:04b}", lc.spec.code);
+        let survivors: Vec<_> = (0..runs)
+            .filter(|r| !holes.contains(r))
+            .map(|r| reference.outcomes[r])
+            .collect();
+        assert_eq!(lc.outcomes, survivors, "level {:04b}", lc.spec.code);
+        let level = snap
+            .levels
+            .iter()
+            .find(|l| l.code == lc.spec.code)
+            .expect("tracked level");
+        assert_eq!(
+            level.n as usize,
+            lc.outcomes.len(),
+            "tracker sees successes only"
+        );
+    }
+    let failed: usize = degraded.iter().map(|lc| lc.failed).sum();
+    assert_eq!(failed, alloc.levels().len() * holes.len());
+    assert_eq!(
+        health_line(&degraded).as_deref(),
+        Some(format!("campaign health: {failed} of {} runs failed", 16 * runs).as_str())
     );
-    assert!(outcome.is_degraded());
-    assert!(!outcome.quorum_breached());
-    assert_eq!(outcome.exit_code(), 3);
-    assert_eq!(outcome.ok_results().count(), runs - expected.len());
 
-    // Exactly one bundle per exhausted run, each stamped with the full
-    // ladder consumed.
+    // Exactly one bundle per failed run, each carrying its run index and
+    // replay seed.
     let bundles: Vec<String> = std::fs::read_dir(&dir)
         .expect("artifacts dir")
         .filter_map(Result::ok)
@@ -140,151 +146,30 @@ fn degraded_campaign_completes_with_one_bundle_per_exhausted_run() {
         })
         .map(|p| std::fs::read_to_string(p).expect("bundle readable"))
         .collect();
-    assert_eq!(
-        bundles.len(),
-        expected.len(),
-        "exactly one bundle per exhausted run"
-    );
+    assert_eq!(bundles.len(), failed, "exactly one bundle per failed run");
+    let mut seeds = Vec::new();
     for text in &bundles {
-        assert!(
-            text.contains(&format!("\"max_attempts\":{}", opts.max_attempts)),
-            "bundle missing ladder size: {text}"
-        );
-        assert!(
-            text.contains(&format!("\"attempt\":{}", opts.max_attempts)),
-            "an exhausted run consumes the whole ladder: {text}"
+        let run = json_u64(text, "run_index").expect("bundle carries run_index") as usize;
+        assert!(holes.contains(&run), "bundle for unscheduled run {run}");
+        seeds.push(json_u64(text, "seed").expect("bundle carries seed"));
+    }
+    for &run in &holes {
+        let n = bundles
+            .iter()
+            .filter(|t| json_u64(t, "run_index") == Some(run as u64))
+            .count();
+        assert_eq!(
+            n,
+            alloc.levels().len(),
+            "one bundle per level for run {run}"
         );
     }
-
-    oxterm_telemetry::postmortem::set_capture(false);
-    let _ = std::fs::remove_dir_all(&dir);
-    drop(session);
-}
-
-#[test]
-fn killed_campaign_resumes_bit_identically() {
-    let plan = FaultPlan::parse("newton_stall:p=0.05,seed=9").expect("spec parses");
-    let session = ChaosSession::arm(plan);
-
-    let dir = std::env::temp_dir().join(format!("oxterm_chaos_resume_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let full_path = dir.join("full.jsonl").to_string_lossy().to_string();
-    let torn_path = dir.join("torn.jsonl").to_string_lossy().to_string();
-
-    let campaign = MonteCarlo::new(200, 0xFEED_F00D);
-    let body = |att: &Attempt, rng: &mut StdRng| -> Result<f64, String> {
-        use rand::Rng;
-        if oxterm_chaos::should_inject(FaultKind::NewtonStall) {
-            return Err(format!("injected stall in run {}", att.run_index));
-        }
-        Ok(rng.random::<f64>().mul_add(2.0, att.run_index as f64))
-    };
-
-    let uninterrupted = run_supervised(
-        campaign,
-        &SupervisorOptions {
-            checkpoint_path: Some(full_path.clone()),
-            ..SupervisorOptions::default()
-        },
-        body,
-    )
-    .expect("uninterrupted campaign runs");
-    assert!(
-        uninterrupted.failures > 0,
-        "the plan must fail some runs so resume replays failures too"
-    );
-
-    // Simulate a SIGKILL mid-campaign: keep only the first half of the
-    // completed-run records, exactly as a torn run would have left them.
-    let mut cp = Checkpoint::load(&full_path).expect("checkpoint parses");
-    cp.records.retain(|r| r.run < 100);
-    let kept = cp.records.len() as u64;
-    assert!(kept > 0, "the truncated checkpoint must retain some runs");
-    cp.write_atomic(&torn_path).expect("torn checkpoint writes");
-
-    let resumed = run_supervised(
-        campaign,
-        &SupervisorOptions {
-            resume_from: Some(torn_path.clone()),
-            ..SupervisorOptions::default()
-        },
-        body,
-    )
-    .expect("resumed campaign runs");
-
-    assert_eq!(resumed.resumed, kept);
-    assert_eq!(uninterrupted.results.len(), resumed.results.len());
-    for (i, (a, b)) in uninterrupted
-        .results
-        .iter()
-        .zip(resumed.results.iter())
-        .enumerate()
-    {
-        match (a, b) {
-            (Ok(x), Ok(y)) => assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "run {i} diverged after resume: {x} vs {y}"
-            ),
-            (Err(x), Err(y)) => {
-                assert_eq!(x.run, y.run);
-                assert_eq!(x.attempts, y.attempts, "run {i} attempt count diverged");
-                assert_eq!(x.error, y.error, "run {i} error diverged");
-            }
-            _ => panic!("run {i} changed ok/err polarity after resume"),
-        }
-    }
-    assert_eq!(uninterrupted.failures, resumed.failures);
-
-    // A checkpoint from a different fault plan must be refused.
-    oxterm_chaos::arm(FaultPlan::parse("newton_stall:p=0.05,seed=10").expect("spec parses"));
-    let err = run_supervised(
-        campaign,
-        &SupervisorOptions {
-            resume_from: Some(torn_path),
-            ..SupervisorOptions::default()
-        },
-        body,
-    )
-    .expect_err("plan-hash mismatch must be rejected");
-    assert!(
-        err.to_string().contains("does not match"),
-        "unexpected error: {err}"
-    );
+    seeds.sort_unstable();
+    seeds.dedup();
+    assert_eq!(seeds.len(), failed, "every failed run has its own seed");
 
     let _ = std::fs::remove_dir_all(&dir);
     drop(session);
-}
-
-#[test]
-fn ladder_never_exceeds_max_attempts() {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    for max_attempts in 1..=5u64 {
-        let highest_attempt = AtomicU64::new(0);
-        let calls = AtomicU64::new(0);
-        let outcome = run_supervised(
-            MonteCarlo::new(4, 0xBAD),
-            &SupervisorOptions {
-                max_attempts,
-                quorum: 1.0,
-                ..SupervisorOptions::default()
-            },
-            |att: &Attempt, _rng: &mut StdRng| -> Result<f64, String> {
-                calls.fetch_add(1, Ordering::Relaxed);
-                highest_attempt.fetch_max(att.attempt, Ordering::Relaxed);
-                Err("always fails".to_string())
-            },
-        )
-        .expect("supervision proceeds");
-        assert_eq!(outcome.failures, 4);
-        assert_eq!(calls.load(Ordering::Relaxed), 4 * max_attempts);
-        assert_eq!(highest_attempt.load(Ordering::Relaxed), max_attempts - 1);
-        for r in &outcome.results {
-            let f = r.as_ref().expect_err("all runs fail");
-            assert_eq!(f.attempts, max_attempts);
-        }
-    }
 }
 
 #[test]
@@ -294,114 +179,10 @@ fn disarmed_hooks_never_fire() {
     oxterm_chaos::arm(FaultPlan::parse("newton_stall:p=1.0,seed=1").expect("spec parses"));
     oxterm_chaos::disarm();
     let before = oxterm_chaos::injected_count();
-    oxterm_chaos::begin_run(0, 0);
+    oxterm_chaos::begin_run(0);
     for kind in oxterm_chaos::ALL_KINDS {
         assert!(!oxterm_chaos::should_inject(kind));
     }
     oxterm_chaos::end_run();
     assert_eq!(oxterm_chaos::injected_count(), before);
-}
-
-/// The checkpoint's crash-tolerance contract, byte by byte. A SIGKILL can land mid-append, so for EVERY
-/// truncation point inside the final record the tolerant loader must
-/// recover exactly the complete records before it — never a misparsed
-/// partial, never an error — while the strict loader refuses mid-JSON
-/// cuts. A resume from a representative torn file then replays
-/// bit-identically.
-#[test]
-fn torn_checkpoint_tail_tolerates_truncation_at_every_byte() {
-    // Hold the chaos lock (disarmed): the checkpoint header hashes the
-    // armed plan, so a concurrently arming test would split the header.
-    let _guard = CHAOS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    oxterm_chaos::disarm();
-
-    let dir = std::env::temp_dir().join(format!("oxterm_torn_tail_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let full_path = dir.join("cp.jsonl").to_string_lossy().to_string();
-    let torn_path = dir.join("torn.jsonl").to_string_lossy().to_string();
-
-    let campaign = MonteCarlo::new(12, 0xABCD).with_threads(1);
-    let body = |att: &Attempt, rng: &mut StdRng| -> Result<f64, String> {
-        use rand::Rng;
-        Ok(rng.random::<f64>().mul_add(3.0, att.run_index as f64))
-    };
-    let uninterrupted = run_supervised(
-        campaign,
-        &SupervisorOptions {
-            checkpoint_path: Some(full_path.clone()),
-            ..SupervisorOptions::default()
-        },
-        body,
-    )
-    .expect("checkpointed campaign runs");
-
-    let full = std::fs::read(&full_path).expect("checkpoint bytes");
-    let full_checkpoint = Checkpoint::load(&full_path).expect("full checkpoint parses");
-    let n = full_checkpoint.records.len();
-    assert_eq!(n, 12);
-    assert_eq!(full.last(), Some(&b'\n'), "records are newline-terminated");
-    let last_start = full[..full.len() - 1]
-        .iter()
-        .rposition(|&b| b == b'\n')
-        .expect("more than one line")
-        + 1;
-
-    for cut in last_start..full.len() {
-        std::fs::write(&torn_path, &full[..cut]).expect("write torn file");
-        let loaded = Checkpoint::load_tolerant(&torn_path)
-            .unwrap_or_else(|e| panic!("tolerant load must absorb a cut at byte {cut}: {e}"));
-        assert_eq!(
-            loaded.checkpoint.records.len(),
-            n - 1,
-            "cut at byte {cut}: exactly the complete records survive"
-        );
-        assert_eq!(
-            loaded.dropped_tail,
-            cut > last_start,
-            "cut at byte {cut}: dropped_tail flags a torn (unterminated) tail"
-        );
-        // The strict loader is a flat field extractor, so some cuts (all
-        // fields intact, trailing syntax gone) still parse. What it must
-        // NEVER do is misparse: an accepted cut yields either exactly
-        // the complete prefix or a record bit-identical to the uncut one.
-        match Checkpoint::load(&torn_path) {
-            Err(_) => {}
-            Ok(strict) => {
-                let d = strict.digest();
-                assert!(
-                    d == full_checkpoint.digest() || d == loaded.checkpoint.digest(),
-                    "cut at byte {cut}: strict load accepted a corrupted record"
-                );
-            }
-        }
-    }
-
-    // Resume from a mid-record cut: the completed 11 runs replay from the
-    // file, the torn 12th re-executes, and the aggregate is bit-identical.
-    std::fs::write(&torn_path, &full[..(last_start + full.len()) / 2]).expect("write torn file");
-    let resumed = run_supervised(
-        campaign,
-        &SupervisorOptions {
-            resume_from: Some(torn_path),
-            ..SupervisorOptions::default()
-        },
-        body,
-    )
-    .expect("resume from torn checkpoint");
-    assert_eq!(resumed.resumed, (n - 1) as u64);
-    for (i, (a, b)) in uninterrupted
-        .results
-        .iter()
-        .zip(resumed.results.iter())
-        .enumerate()
-    {
-        let (x, y) = (
-            a.as_ref().expect("clean campaign"),
-            b.as_ref().expect("clean resume"),
-        );
-        assert_eq!(x.to_bits(), y.to_bits(), "run {i} diverged after resume");
-    }
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

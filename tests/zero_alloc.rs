@@ -163,7 +163,7 @@ fn disarmed_should_inject_allocates_nothing() {
     for kind in ALL_KINDS {
         assert!(!oxterm_chaos::should_inject(kind));
     }
-    oxterm_chaos::begin_run(0, 0);
+    oxterm_chaos::begin_run(0);
 
     let before = local_allocations();
     for _ in 0..100_000u64 {

@@ -18,13 +18,14 @@
 //!   *and* `telemetry`/`mc` themselves: only the profiler entry points
 //!   ([`CLOCK_ALLOWLIST`]) may construct an `Instant`; everything else
 //!   routes through `oxterm_telemetry::profiler::monotonic_ns`.
-//! * **`std::fs` ban in solver crates** — artifact I/O (post-mortem
-//!   bundles, probe CSVs, trace files) is owned by `oxterm-telemetry` and
-//!   the bench binaries; a solver writing files directly bypasses the
-//!   artifacts-dir configuration and the telemetry artifact accounting.
+//! * **`std::fs` ban in solver crates and `mc`** — artifact I/O
+//!   (post-mortem bundles, probe CSVs, trace files) is owned by
+//!   `oxterm-telemetry` and the bench binaries; a solver or the Monte
+//!   Carlo engine writing files directly bypasses the artifacts-dir
+//!   configuration and the telemetry artifact accounting.
 //! * **`std::process::exit` ban in library code** — terminating the
-//!   process from a library skips destructors, telemetry flushes and
-//!   mid-campaign checkpoint writes; only `src/bin/` targets may exit.
+//!   process from a library skips destructors and telemetry flushes;
+//!   only `src/bin/` targets may exit.
 //!   Libraries surface errors (e.g. `CliError` with a suggested code)
 //!   and let the binary decide.
 //! * **`#![forbid(unsafe_code)]` headers** — every library crate must
@@ -44,7 +45,7 @@ use std::process::ExitCode;
 /// its ceiling, lower the ceiling in the same change.
 const UNWRAP_BUDGETS: &[(&str, usize)] = &[
     ("array", 1),
-    ("bench", 1),
+    ("bench", 0),
     ("chaos", 0),
     ("core", 0),
     ("devices", 0),
@@ -173,7 +174,6 @@ fn lint() -> ExitCode {
     }
 
     for krate in SOLVER_CRATES.iter().chain(CLOCK_CRATES) {
-        let on_solve_path = SOLVER_CRATES.contains(krate);
         let src = crates_dir.join(krate).join("src");
         for file in library_sources(&src) {
             let text = std::fs::read_to_string(&file).unwrap_or_default();
@@ -192,12 +192,12 @@ fn lint() -> ExitCode {
                      (only the profiler entry points may construct an Instant)"
                 ));
             }
-            // The filesystem ban stays solver-only: telemetry owns the
-            // artifact I/O and mc streams campaign checkpoints by design.
-            if on_solve_path {
+            // The filesystem ban covers every scanned crate but telemetry,
+            // which owns the artifact I/O.
+            if *krate != "telemetry" {
                 if let Some(pattern) = fs_access(&code) {
                     violations.push(format!(
-                        "solver crate `{krate}`: {relpath} touches the filesystem ({pattern}); \
+                        "crate `{krate}`: {relpath} touches the filesystem ({pattern}); \
                          route artifact I/O through oxterm-telemetry"
                     ));
                 }
@@ -234,7 +234,7 @@ fn lint() -> ExitCode {
 
     // Process-exit ban: every crate's library sources (src/bin and tests
     // are excluded by `library_sources`). A library that exits skips
-    // destructors, telemetry flushes and mid-campaign checkpoint writes.
+    // destructors and telemetry flushes.
     let mut exit_clean = 0usize;
     for krate in &lib_crates {
         let mut dirty = false;
