@@ -7,7 +7,7 @@
 //! because the state noise grows exactly where ISO-ΔR packs the levels in
 //! current space.
 
-use oxterm_bench::campaigns::{health_line, mc_campaign};
+use oxterm_bench::campaigns::{health_line, mc_campaign, sparse_level};
 use oxterm_bench::table::{eng, Table};
 use oxterm_bench::telemetry_cli;
 use oxterm_mlc::levels::{AllocationScheme, LevelAllocation};
@@ -45,8 +45,16 @@ fn main() {
     let mut both = Vec::new();
     for (name, alloc) in [("ISO-ΔI (paper)", &iso_i), ("ISO-ΔR", &iso_r)] {
         let campaign = mc_campaign(&params, alloc, runs, 0xAB1A);
+        if let Some(reason) = sparse_level(&campaign) {
+            println!("ablation_allocation: {name}: FAIL — {reason}");
+            println!("{}", health_line(&campaign).unwrap_or_default());
+            std::process::exit(1);
+        }
         let samples: Vec<_> = campaign.iter().map(|c| c.to_level_samples()).collect();
-        let report = analyze(&samples).expect("populated levels");
+        let report = analyze(&samples).unwrap_or_else(|e| {
+            println!("ablation_allocation: {name}: FAIL — {e}");
+            std::process::exit(1);
+        });
         let max_gap = report
             .margins
             .iter()

@@ -4,7 +4,9 @@
 //! Paper anchors: margins range from 2.1 kΩ ('0000'/'0001', worst case) to
 //! 69 kΩ ('1111'/'1110'); no distribution overlap.
 
-use oxterm_bench::campaigns::{health_line, paper_qlc_campaign, probe_designated_run};
+use oxterm_bench::campaigns::{
+    health_line, paper_qlc_campaign, probe_designated_run, sparse_level,
+};
 use oxterm_bench::chart::boxplot_row;
 use oxterm_bench::table::{eng, Table};
 use oxterm_bench::telemetry_cli;
@@ -50,8 +52,16 @@ fn main() {
     }
     println!("== Fig 11: HRS box plots, {runs} MC runs × 16 compliance currents ==\n");
     let campaign = paper_qlc_campaign(runs);
+    if let Some(reason) = sparse_level(&campaign) {
+        println!("fig11: FAIL — {reason}");
+        println!("{}", health_line(&campaign).unwrap_or_default());
+        std::process::exit(1);
+    }
     let samples: Vec<_> = campaign.iter().map(|c| c.to_level_samples()).collect();
-    let report = analyze(&samples).expect("16 populated levels");
+    let report = analyze(&samples).unwrap_or_else(|e| {
+        println!("fig11: FAIL — {e}");
+        std::process::exit(1);
+    });
     // Batch vs streaming agreement gate (verdict on stderr).
     cross_check_streaming(&samples);
 

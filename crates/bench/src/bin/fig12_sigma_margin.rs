@@ -8,7 +8,7 @@
 //! no longer needs full sample vectors (the 10k+-run campaigns of the
 //! scale push won't keep them).
 
-use oxterm_bench::campaigns::{health_line, paper_qlc_campaign};
+use oxterm_bench::campaigns::{health_line, paper_qlc_campaign, sparse_level};
 use oxterm_bench::chart::{xy_chart, Scale};
 use oxterm_bench::levels_report::LevelReport;
 use oxterm_bench::table::{eng, Table};
@@ -31,8 +31,16 @@ fn main() {
     });
     println!("== Fig 12: σ(R_HRS) and margin vs compliance current ({runs} MC runs) ==\n");
     let campaign = paper_qlc_campaign(runs);
+    if let Some(reason) = sparse_level(&campaign) {
+        println!("fig12: FAIL — {reason}");
+        println!("{}", health_line(&campaign).unwrap_or_default());
+        std::process::exit(1);
+    }
     let samples: Vec<_> = campaign.iter().map(|c| c.to_level_samples()).collect();
-    let report = analyze(&samples).expect("16 populated levels");
+    let report = analyze(&samples).unwrap_or_else(|e| {
+        println!("fig12: FAIL — {e}");
+        std::process::exit(1);
+    });
 
     let mut t = Table::new(&["IrefR (µA)", "σ(R)", "margin to next"]);
     let mut sigma_pts = Vec::new();

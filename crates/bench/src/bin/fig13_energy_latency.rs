@@ -6,7 +6,7 @@
 //! pulse is excluded from the latency numbers.
 
 use oxterm_bench::campaigns::{
-    health_line, paper_qlc_campaign, probe_designated_run, LevelCampaign,
+    health_line, paper_qlc_campaign, probe_designated_run, sparse_level, LevelCampaign,
 };
 use oxterm_bench::chart::boxplot_row;
 use oxterm_bench::table::{eng, Table};
@@ -57,6 +57,11 @@ fn main() {
     }
     println!("== Fig 13: energy/cell and RST latency, {runs} MC runs × 16 levels ==\n");
     let campaign = paper_qlc_campaign(runs);
+    if let Some(reason) = sparse_level(&campaign) {
+        println!("fig13: FAIL — {reason}");
+        println!("{}", health_line(&campaign).unwrap_or_default());
+        std::process::exit(1);
+    }
     cross_check_streaming(&campaign);
 
     let mut all_energy = Vec::new();
@@ -67,8 +72,8 @@ fn main() {
     for lc in &campaign {
         let e = lc.energies();
         let l = lc.latencies();
-        let be = box_stats(&e).expect("populated");
-        let bl = box_stats(&l).expect("populated");
+        let be = box_stats(&e).expect("sparse_level leaves ≥ 2 samples per level");
+        let bl = box_stats(&l).expect("sparse_level leaves ≥ 2 samples per level");
         let label = format!("{:>2.0} µA", lc.spec.i_ref * 1e6);
         e_rows.push((label.clone(), be.clone()));
         l_rows.push((label, bl.clone()));
@@ -101,8 +106,8 @@ fn main() {
         println!("{}", boxplot_row(label, b, 0.0, l_hi, 60));
     }
 
-    let e_summary = summary(&all_energy).expect("populated");
-    let l_summary = summary(&all_latency).expect("populated");
+    let e_summary = summary(&all_energy).expect("sparse_level leaves ≥ 2 samples per level");
+    let l_summary = summary(&all_latency).expect("sparse_level leaves ≥ 2 samples per level");
     // Average over the outcomes actually collected — identical to
     // `16 × runs` on a clean campaign, correct under graceful degradation.
     let total_outcomes = campaign.iter().map(|lc| lc.outcomes.len()).sum::<usize>();

@@ -45,7 +45,7 @@ use oxterm_bench::bench_diff::{
     compare, parse_flat_json, BenchValue, Gate, ENERGY_GATE, GATES, LEVELS_GATE,
 };
 use oxterm_bench::bench_history;
-use oxterm_bench::campaigns::{health_line, mc_campaign};
+use oxterm_bench::campaigns::{health_line, mc_campaign, sparse_level};
 use oxterm_bench::energy_report::{EnergyReport, WorstCaseBaseline};
 use oxterm_bench::hotpath::matrix_stats;
 use oxterm_bench::levels_report::LevelReport;
@@ -175,7 +175,11 @@ fn main() {
     // `--chaos`, say) leaves a hole in its level; the exit code reports it.
     let campaign = mc_campaign(&params, &alloc, runs, 0xA11);
     let samples: Vec<_> = campaign.iter().map(|c| c.to_level_samples()).collect();
-    match analyze(&samples) {
+    let analysis = match sparse_level(&campaign) {
+        Some(reason) => Err(reason),
+        None => analyze(&samples).map_err(|e| e.to_string()),
+    };
+    match analysis {
         Ok(report) => {
             checks.push(Check {
                 name: "Fig 11: worst-case margin, no overlap",

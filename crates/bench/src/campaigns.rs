@@ -100,6 +100,29 @@ pub fn mc_campaign(
         .collect()
 }
 
+/// Fewest successful runs a level needs for its statistics: a spread takes
+/// two samples.
+const MIN_LEVEL_SAMPLES: usize = 2;
+
+/// The failed check of a campaign that lost too many runs to analyse:
+/// `Some("level 0000 kept 1 of 5 runs (its statistics need ≥ 2)")` for the
+/// first level with fewer than two successful runs, else
+/// `None`. Under the [`health_line`] rule a binary reports it as a failed
+/// check and exits 1.
+pub fn sparse_level(campaign: &[LevelCampaign]) -> Option<String> {
+    campaign
+        .iter()
+        .find(|c| c.outcomes.len() < MIN_LEVEL_SAMPLES)
+        .map(|c| {
+            format!(
+                "level {:04b} kept {} of {} runs (its statistics need ≥ {MIN_LEVEL_SAMPLES})",
+                c.spec.code,
+                c.outcomes.len(),
+                c.outcomes.len() + c.failed
+            )
+        })
+}
+
 /// The one-line campaign health report, `campaign health: F of N runs
 /// failed`, or `None` when every run succeeded. Binaries print it and exit
 /// 3 when no check failed, so a clean run's stdout never changes.
@@ -171,6 +194,29 @@ mod tests {
             assert!(lc.resistances().iter().all(|&r| r > 10e3));
         }
         assert_eq!(health_line(&campaign), None);
+        assert_eq!(sparse_level(&campaign), None);
+    }
+
+    #[test]
+    fn a_level_below_two_samples_is_a_failed_check() {
+        let mut campaign = mc_campaign(
+            &OxramParams::calibrated(),
+            &LevelAllocation::paper_qlc(),
+            2,
+            7,
+        );
+        assert_eq!(sparse_level(&campaign), None);
+        let lc = &mut campaign[3];
+        lc.outcomes.truncate(1);
+        lc.failed = 1;
+        assert_eq!(
+            sparse_level(&campaign).as_deref(),
+            Some("level 0011 kept 1 of 2 runs (its statistics need ≥ 2)")
+        );
+        assert_eq!(
+            health_line(&campaign).as_deref(),
+            Some("campaign health: 1 of 32 runs failed")
+        );
     }
 
     #[test]

@@ -135,7 +135,6 @@ pub fn program_and_verify(
             v_drive: config.v_drive,
             r_series: config.r_series,
             width: config.pulse_width,
-            dt: 1e-9,
         };
         let out =
             oxterm_rram::calib::simulate_standard_reset(params, inst, &pulse, rho, config.v_read)?;

@@ -4,13 +4,19 @@
 //! `500 runs × 16 levels` terminated-RESET simulations. Running each through
 //! the full MNA transient engine works but is wasteful for a series
 //! `driver – R_series – cell` path, so this module provides a semi-analytic
-//! fast path on a fixed time step. Each step solves the cell voltage
-//! against the access path's load line (the series resistance, or during
-//! SET the access transistor's compliance current) by Newton with the
-//! analytic Jacobian, warm-started from the previous step's voltage, and
-//! then advances the filament ODE in closed form, reusing the solved
-//! current. The integration test suite cross-checks this fast path against
-//! the full circuit-level transient.
+//! fast path. The filament state obeys the autonomous scalar ODE
+//! `dρ/dt = F(ρ)`: at each `ρ` the cell voltage is solved against the access
+//! path's load line (the series resistance, or during SET the access
+//! transistor's compliance current) by Newton with the analytic Jacobian,
+//! warm-started from the previous evaluations, and [`model::state_rate`]
+//! gives the rate. One error-controlled Dormand–Prince 5(4) integrator
+//! carries the state together with the driver and cell energies. SET and
+//! fixed-width RESET pulses integrate in time. A terminated RESET
+//! integrates time and energies as functions of `ρ`, from the start state
+//! down to the closed-form trip state at which the cell current equals
+//! `IrefR`, so the trip is located exactly. The integration test suite
+//! cross-checks this fast path against the full circuit-level transient
+//! and against a Richardson-extrapolated fixed-step reference.
 //!
 //! The same fast path makes model calibration affordable:
 //! [`calibrate`] runs a Nelder–Mead search over the model card to match the
@@ -36,8 +42,6 @@ pub struct ResetConditions {
     pub i_ref: f64,
     /// Starting filament state (LRS = 1.0).
     pub rho_start: f64,
-    /// Integration step (s).
-    pub dt: f64,
     /// Abandon the run after this long (s).
     pub t_max: f64,
     /// Read-back voltage for the reported resistance (V).
@@ -55,7 +59,6 @@ impl ResetConditions {
             r_series: 3.6131e3,
             i_ref,
             rho_start: 1.0,
-            dt: 2e-9,
             t_max: 60e-6,
             v_read: 0.3,
         }
@@ -124,7 +127,7 @@ const WARM_NEWTON_BUDGET: u32 = 12;
 /// Solves `I(v_c, ρ) = load(v_c)` for the cell-voltage magnitude on
 /// `(0, v_drive)` and returns `(v_c, I(v_c, ρ))`.
 ///
-/// Newton starts from `guess` (the previous step's `v_c`) with the analytic
+/// Newton starts from `guess` (a [`WarmStart`] prediction) with the analytic
 /// Jacobian `∂I/∂v + load conductance`. A guess or iterate outside
 /// `(0, v_drive)`, or an exhausted iteration budget, falls back to the
 /// bracketed [`newton_bisect`] on `[0, v_drive]`. Both accept at the
@@ -169,23 +172,251 @@ fn solve_cell(
     Ok((v, model::cell_current(params, inst, v, rho)))
 }
 
-/// Fixed-width pulse length in whole steps (immune to the float drift of
-/// accumulating `t += dt`).
-fn step_count(width: f64, dt: f64) -> u64 {
-    (width / dt).round() as u64
+/// Relative tolerance of the fast path's step control, applied to every
+/// integrated component: the state (or time) and both energies.
+const RTOL: f64 = 1e-6;
+
+/// Dormand–Prince 5(4) stage nodes `c₂…c₇`.
+const DP_C: [f64; 6] = [1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0];
+
+/// Dormand–Prince 5(4) stage weights: row `j` builds stage `j + 2` from
+/// stages `1…j + 1`. The last row is the fifth-order solution, so the
+/// seventh stage is `f` at the step's end (first same as last).
+#[rustfmt::skip]
+const DP_A: [[f64; 6]; 6] = [
+    [1.0 / 5.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3.0 / 40.0, 9.0 / 40.0, 0.0, 0.0, 0.0, 0.0],
+    [44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0, 0.0, 0.0, 0.0],
+    [19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0, 0.0, 0.0],
+    [9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0, 0.0],
+    [35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0],
+];
+
+/// Fifth- minus fourth-order weights: the local error estimate.
+#[rustfmt::skip]
+const DP_E: [f64; 7] = [
+    71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0,
+    -1.0 / 40.0,
+];
+
+/// One right-hand-side evaluation: the derivatives of the three integrated
+/// components and the cell current they came from.
+#[derive(Debug, Clone, Copy)]
+struct Stage {
+    dy: [f64; 3],
+    i: f64,
+}
+
+/// Error-controlled Dormand–Prince 5(4) integration of `y' = f(x, y)` in
+/// three components. `k1` always holds `f` at `(x, y)`: an accepted step's
+/// last stage is the next step's first.
+struct Dopri {
+    x: f64,
+    y: [f64; 3],
+    k1: Stage,
+    /// Step size to try next.
+    h: f64,
+    /// Accepted steps.
+    steps: u64,
+}
+
+impl Dopri {
+    /// Starts at `(x, y)`, where `f` is `k1`, trying a step of `h` first.
+    fn new(x: f64, y: [f64; 3], k1: Stage, h: f64) -> Self {
+        Dopri {
+            x,
+            y,
+            k1,
+            h,
+            steps: 0,
+        }
+    }
+
+    /// Takes one accepted step toward `x_end`, landing on it exactly when
+    /// it is within the step size.
+    ///
+    /// A step is accepted when every component's error estimate is within
+    /// [`RTOL`] of its magnitude; the next size follows the usual
+    /// `0.9·err^(−1/5)` rule, kept within `[0.2, 5]` and not grown straight
+    /// after a rejection.
+    fn step<F>(&mut self, x_end: f64, f: &mut F) -> Result<(), RramError>
+    where
+        F: FnMut(f64, &[f64; 3]) -> Result<Stage, RramError>,
+    {
+        let mut rejected = false;
+        loop {
+            let last = self.x + self.h >= x_end;
+            let h = if last { x_end - self.x } else { self.h };
+            let mut k = [self.k1; 7];
+            let mut y = self.y;
+            for (j, row) in DP_A.iter().enumerate() {
+                for (c, yc) in y.iter_mut().enumerate() {
+                    let sum: f64 = row[..=j].iter().zip(&k).map(|(a, s)| a * s.dy[c]).sum();
+                    *yc = self.y[c] + h * sum;
+                }
+                k[j + 1] = f(self.x + DP_C[j] * h, &y)?;
+            }
+            let mut err = 0.0f64;
+            for (c, yc) in y.iter().enumerate() {
+                let e: f64 = DP_E.iter().zip(&k).map(|(w, s)| w * s.dy[c]).sum();
+                let e = (h * e).abs();
+                let r = if e == 0.0 {
+                    0.0
+                } else {
+                    e / (RTOL * self.y[c].abs().max(yc.abs()))
+                };
+                // A NaN estimate must reject the step, so it wins the max.
+                if r.is_nan() || r > err {
+                    err = r;
+                }
+            }
+            if err <= 1.0 {
+                self.x = if last { x_end } else { self.x + h };
+                self.y = y;
+                self.k1 = k[6];
+                self.steps += 1;
+                self.h = h * step_factor(err, if rejected { 1.0 } else { 5.0 });
+                return Ok(());
+            }
+            rejected = true;
+            self.h = h * step_factor(err, 1.0);
+            if self.x + self.h == self.x {
+                return Err(oxterm_numerics::NumericsError::NoConvergence {
+                    iterations: self.steps as usize,
+                    residual: err,
+                }
+                .into());
+            }
+        }
+    }
+}
+
+/// Step-size factor `0.9·err^(−1/5)` kept within `[0.2, max]`; a NaN error
+/// estimate shrinks by the full `0.2`.
+fn step_factor(err: f64, max: f64) -> f64 {
+    let fac = 0.9 * err.powf(-0.2);
+    if fac.is_nan() {
+        0.2
+    } else {
+        fac.clamp(0.2, max)
+    }
+}
+
+/// Newton's starting cell voltage for the next state `ρ`: the linear
+/// extrapolation in `ρ` through the last two solved points, or the last
+/// voltage alone when there is one point or the line leaves `(0, v_drive)`.
+struct WarmStart {
+    last: (f64, f64),
+    prev: Option<(f64, f64)>,
+}
+
+impl WarmStart {
+    fn new(rho: f64, v: f64) -> Self {
+        WarmStart {
+            last: (rho, v),
+            prev: None,
+        }
+    }
+
+    fn guess(&self, rho: f64, v_drive: f64) -> f64 {
+        let (r1, v1) = self.last;
+        let Some((r0, v0)) = self.prev else {
+            return v1;
+        };
+        let v = v1 + (v1 - v0) / (r1 - r0) * (rho - r1);
+        if v > 0.0 && v < v_drive {
+            v
+        } else {
+            v1
+        }
+    }
+
+    fn record(&mut self, rho: f64, v: f64) {
+        if rho != self.last.0 {
+            self.prev = Some(self.last);
+        }
+        self.last = (rho, v);
+    }
+}
+
+/// The first step to try: `1 %` of the scale on which a component of
+/// magnitude `scale` changing at `rate` moves, capped at the whole `span`.
+fn first_step(scale: f64, rate: f64, span: f64) -> f64 {
+    let h = 0.01 * scale.abs() / rate.abs();
+    if h.is_finite() && h > 0.0 {
+        h.min(span)
+    } else {
+        span
+    }
+}
+
+/// A fixed-width pulse integrated in time.
+#[derive(Debug, Clone, Copy)]
+struct PulseRun {
+    rho: f64,
+    energy: f64,
+    e_cell: f64,
+    i_initial: f64,
+    i_final: f64,
+}
+
+/// Integrates `(ρ, E, E_cell)` over `width` seconds from `rho_start`.
+/// `solve(ρ, guess)` returns the cell operating point `(v_c, I)` from a
+/// [`WarmStart`] guess; `polarity` signs `v_c` for the state law (+1 SET,
+/// −1 RESET).
+fn integrate_pulse<S>(
+    params: &OxramParams,
+    inst: &InstanceVariation,
+    v_drive: f64,
+    polarity: f64,
+    rho_start: f64,
+    width: f64,
+    mut solve: S,
+) -> Result<PulseRun, RramError>
+where
+    S: FnMut(f64, f64) -> Result<(f64, f64), RramError>,
+{
+    let mut warm = WarmStart::new(rho_start, 0.5 * v_drive);
+    let mut f = |_t: f64, y: &[f64; 3]| -> Result<Stage, RramError> {
+        let (vc, i) = solve(y[0], warm.guess(y[0], v_drive))?;
+        warm.record(y[0], vc);
+        let rate = model::state_rate(params, inst, y[0], polarity * vc, i.abs());
+        Ok(Stage {
+            dy: [rate, v_drive * i, vc * i],
+            i,
+        })
+    };
+    let y0 = [rho_start, 0.0, 0.0];
+    let k1 = f(0.0, &y0)?;
+    let mut dp = Dopri::new(0.0, y0, k1, first_step(rho_start, k1.dy[0], width));
+    while dp.x < width {
+        dp.step(width, &mut f)?;
+    }
+    Ok(PulseRun {
+        rho: dp.y[0].clamp(0.0, 1.0),
+        energy: dp.y[1],
+        e_cell: dp.y[2],
+        i_initial: k1.i,
+        i_final: dp.k1.i,
+    })
 }
 
 /// Simulates one current-terminated RESET in the fast scalar path.
 ///
 /// The driver applies `v_drive` across `r_series` in series with the cell
-/// (RESET polarity); the loop terminates the instant the cell current falls
-/// to `i_ref`, with sub-step linear interpolation of the crossing time.
+/// (RESET polarity) until the cell current falls to `i_ref`. The current
+/// falls monotonically with `ρ`, and the trip happens at the cell voltage
+/// `v* = v_drive − r_series·i_ref`, so the trip state `ρ*` is the closed
+/// form [`model::rho_at_current`]`(v*, i_ref)`. Time and both energies are
+/// integrated as functions of `ρ` from `rho_start` down to `ρ*`; a cell
+/// that already draws no more than `i_ref` trips at `t = 0`.
 ///
 /// # Errors
 ///
 /// * [`RramError::InvalidParameter`] for an invalid model card,
 /// * [`RramError::NotTerminated`] if the current never reaches `i_ref`
-///   within `t_max` (reference below the leakage floor),
+///   within `t_max` (reference below the leakage floor), quoting the cell
+///   current at `t_max`,
 /// * [`RramError::Numerics`] if the divider solve fails.
 pub fn simulate_reset_termination(
     params: &OxramParams,
@@ -218,86 +449,170 @@ pub fn simulate_reset_termination(
         r_series: cond.r_series,
     };
     let mut work = SolveWork::default();
-    let mut rho = cond.rho_start;
-    let mut energy = 0.0;
-    let mut e_cell = 0.0;
-    let mut i_prev = f64::NAN;
-    let mut vc_prev = 0.5 * cond.v_drive;
-    let mut i_initial = 0.0;
-    let mut steps = 0u64;
-    loop {
-        let t = steps as f64 * cond.dt;
-        let (vc, i) = solve_cell(params, inst, rho, cond.v_drive, load, vc_prev, &mut work)?;
-        if steps == 0 {
-            i_initial = i;
-        } else {
-            // Trapezoidal energy over the step just completed — same
-            // convention as `spice::Waveform::integral`, so the fast path
-            // and the circuit-level meter agree on quadrature.
-            energy += 0.5 * cond.v_drive * (i_prev + i) * cond.dt;
-            e_cell += 0.5 * (vc_prev * i_prev + vc * i) * cond.dt;
-        }
-        if i <= cond.i_ref {
-            // Interpolate the crossing within the last step.
-            let latency = if i_prev.is_finite() && i_prev > cond.i_ref {
-                let frac = (i_prev - cond.i_ref) / (i_prev - i);
-                t - cond.dt * (1.0 - frac)
-            } else {
-                t
-            };
-            if tel.is_enabled() {
-                tel.add("rram.termination.steps", steps);
-                work.flush(tel);
-                tel.record("rram.termination.latency_s", latency.max(0.0));
-                // Discrete-time comparator overshoot: how far the current
-                // fell past IrefR before the trip was observed.
-                tel.record(
-                    "rram.termination.overshoot_rel",
-                    (cond.i_ref - i) / cond.i_ref,
-                );
-            }
-            trace_span.arg(Arg::u64("steps", steps));
-            trace_span.arg(Arg::f64("latency_sim_s", latency.max(0.0)));
-            let ledger = JouleLedger::global();
-            if ledger.is_enabled() {
-                // The cell dissipates v_c·i; the balance of the drive,
-                // (v_drive − v_c)·i, drops across the series path (access
-                // transistor + line), which is what r_series models.
-                ledger.record_energy(DeviceClass::RramCell, Role::RramCell, e_cell);
-                ledger.record_energy(
-                    DeviceClass::Resistor,
-                    Role::AccessTransistor,
-                    energy - e_cell,
-                );
-                ledger.mark(oxterm_telemetry::profiler::monotonic_ns());
-            }
-            return Ok(TerminationOutcome {
-                rho_final: rho,
-                r_read_ohms: model::read_resistance(params, inst, rho, cond.v_read),
-                latency_s: latency.max(0.0),
-                energy_j: energy,
-                i_initial,
-            });
-        }
-        if t >= cond.t_max {
-            tel.incr("rram.termination.not_terminated");
-            work.flush(tel);
-            Tracer::global().instant(
-                Track::Program,
-                "not_terminated",
-                &[Arg::f64("i_ref_a", cond.i_ref), Arg::f64("i_final_a", i)],
-            );
-            return Err(RramError::NotTerminated {
-                i_ref: cond.i_ref,
-                t_max: cond.t_max,
-                i_final: i,
-            });
-        }
-        rho = model::advance_state_from(params, inst, rho, -vc, cond.dt, Some(i));
-        i_prev = i;
-        vc_prev = vc;
-        steps += 1;
+    let rho_start = cond.rho_start;
+    let (vc0, i_initial) = solve_cell(
+        params,
+        inst,
+        rho_start,
+        cond.v_drive,
+        load,
+        0.5 * cond.v_drive,
+        &mut work,
+    )?;
+    let trip = if i_initial <= cond.i_ref {
+        Some(Trip::at_start(rho_start, i_initial))
+    } else {
+        integrate_to_trip(params, inst, cond, load, (vc0, i_initial), &mut work)?
+    };
+    let Some(trip) = trip else {
+        // Report the current the cell would carry at the give-up time.
+        let i_final = integrate_pulse(
+            params,
+            inst,
+            cond.v_drive,
+            -1.0,
+            rho_start,
+            cond.t_max,
+            |rho, guess| solve_cell(params, inst, rho, cond.v_drive, load, guess, &mut work),
+        )?
+        .i_final;
+        tel.incr("rram.termination.not_terminated");
+        work.flush(tel);
+        Tracer::global().instant(
+            Track::Program,
+            "not_terminated",
+            &[
+                Arg::f64("i_ref_a", cond.i_ref),
+                Arg::f64("i_final_a", i_final),
+            ],
+        );
+        return Err(RramError::NotTerminated {
+            i_ref: cond.i_ref,
+            t_max: cond.t_max,
+            i_final,
+        });
+    };
+    if tel.is_enabled() {
+        tel.add("rram.termination.steps", trip.steps);
+        work.flush(tel);
+        tel.record("rram.termination.latency_s", trip.latency);
+        // Residual of the located trip: how far the current at the trip
+        // state sits below IrefR (round-off unless the cell started there).
+        tel.record(
+            "rram.termination.overshoot_rel",
+            (cond.i_ref - trip.i) / cond.i_ref,
+        );
     }
+    trace_span.arg(Arg::u64("steps", trip.steps));
+    trace_span.arg(Arg::f64("latency_sim_s", trip.latency));
+    let ledger = JouleLedger::global();
+    if ledger.is_enabled() {
+        // The cell dissipates v_c·i; the balance of the drive,
+        // (v_drive − v_c)·i, drops across the series path (access
+        // transistor + line), which is what r_series models.
+        ledger.record_energy(DeviceClass::RramCell, Role::RramCell, trip.e_cell);
+        ledger.record_energy(
+            DeviceClass::Resistor,
+            Role::AccessTransistor,
+            trip.energy - trip.e_cell,
+        );
+        ledger.mark(oxterm_telemetry::profiler::monotonic_ns());
+    }
+    Ok(TerminationOutcome {
+        rho_final: trip.rho,
+        r_read_ohms: model::read_resistance(params, inst, trip.rho, cond.v_read),
+        latency_s: trip.latency,
+        energy_j: trip.energy,
+        i_initial,
+    })
+}
+
+/// Where a terminated RESET tripped.
+#[derive(Debug, Clone, Copy)]
+struct Trip {
+    latency: f64,
+    energy: f64,
+    e_cell: f64,
+    rho: f64,
+    /// Cell current at the trip state.
+    i: f64,
+    /// Accepted integrator steps.
+    steps: u64,
+}
+
+impl Trip {
+    /// The trip of a cell that already draws no more than `i_ref`.
+    fn at_start(rho: f64, i: f64) -> Self {
+        Trip {
+            latency: 0.0,
+            energy: 0.0,
+            e_cell: 0.0,
+            rho,
+            i,
+            steps: 0,
+        }
+    }
+}
+
+/// Integrates a terminated RESET from its start state, where the cell sits
+/// at `(v_c, I)` with `I > i_ref`, down to the trip state. `None` if the
+/// cell cannot get there within `t_max`.
+fn integrate_to_trip(
+    params: &OxramParams,
+    inst: &InstanceVariation,
+    cond: &ResetConditions,
+    load: Load,
+    (vc0, i0): (f64, f64),
+    work: &mut SolveWork,
+) -> Result<Option<Trip>, RramError> {
+    let rho_start = cond.rho_start;
+    let v_trip = cond.v_drive - cond.r_series * cond.i_ref;
+    let Some(rho_trip) = model::rho_at_current(params, inst, v_trip, cond.i_ref) else {
+        // The hopping background alone carries more than i_ref.
+        return Ok(None);
+    };
+    if rho_trip >= rho_start {
+        // Round-off at the boundary: the start state is the trip state.
+        return Ok(Some(Trip::at_start(rho_start, i0)));
+    }
+    // Over s = ρ_start − ρ, increasing: dt/ds = −1/F(ρ), and the energies
+    // follow as the power times dt/ds.
+    let stage = |rho: f64, vc: f64, i: f64| {
+        let dt_ds = -1.0 / model::state_rate(params, inst, rho, -vc, i);
+        Stage {
+            dy: [dt_ds, cond.v_drive * i * dt_ds, vc * i * dt_ds],
+            i,
+        }
+    };
+    let k1 = stage(rho_start, vc0, i0);
+    if !k1.dy[0].is_finite() {
+        // Below the RESET threshold the state holds for good.
+        return Ok(None);
+    }
+    let mut warm = WarmStart::new(rho_start, vc0);
+    let mut f = |s: f64, _: &[f64; 3]| -> Result<Stage, RramError> {
+        let rho = rho_start - s;
+        let guess = warm.guess(rho, cond.v_drive);
+        let (vc, i) = solve_cell(params, inst, rho, cond.v_drive, load, guess, work)?;
+        warm.record(rho, vc);
+        Ok(stage(rho, vc, i))
+    };
+    let span = rho_start - rho_trip;
+    let mut dp = Dopri::new(0.0, [0.0; 3], k1, first_step(rho_start, 1.0, span));
+    while dp.x < span {
+        dp.step(span, &mut f)?;
+        if dp.y[0] > cond.t_max {
+            return Ok(None);
+        }
+    }
+    Ok(Some(Trip {
+        latency: dp.y[0],
+        energy: dp.y[1],
+        e_cell: dp.y[2],
+        rho: rho_trip,
+        i: dp.k1.i,
+        steps: dp.steps,
+    }))
 }
 
 /// A fixed-width (standard, non-terminated) RESET pulse — the paper's
@@ -311,8 +626,6 @@ pub struct StandardResetPulse {
     pub r_series: f64,
     /// Pulse width (s).
     pub width: f64,
-    /// Integration step (s).
-    pub dt: f64,
 }
 
 impl StandardResetPulse {
@@ -324,7 +637,6 @@ impl StandardResetPulse {
             v_drive: 3.0,
             r_series: 3.6131e3,
             width: 3.5e-6,
-            dt: 2e-9,
         }
     }
 }
@@ -347,34 +659,25 @@ pub fn simulate_standard_reset(
         r_series: pulse.r_series,
     };
     let mut work = SolveWork::default();
-    let mut rho = rho_start;
-    let (mut vc, mut i) = solve_cell(
+    let run = integrate_pulse(
         params,
         inst,
-        rho,
         pulse.v_drive,
-        load,
-        0.5 * pulse.v_drive,
-        &mut work,
+        -1.0,
+        rho_start,
+        pulse.width,
+        |rho, guess| solve_cell(params, inst, rho, pulse.v_drive, load, guess, &mut work),
     )?;
-    let i_initial = i;
-    let mut energy = 0.0;
-    for _ in 0..step_count(pulse.width, pulse.dt) {
-        rho = model::advance_state_from(params, inst, rho, -vc, pulse.dt, Some(i));
-        let p_prev = pulse.v_drive * i;
-        (vc, i) = solve_cell(params, inst, rho, pulse.v_drive, load, vc, &mut work)?;
-        energy += 0.5 * (p_prev + pulse.v_drive * i) * pulse.dt;
-    }
     let tel = Telemetry::global();
     if tel.is_enabled() {
         work.flush(tel);
     }
     Ok(TerminationOutcome {
-        rho_final: rho,
-        r_read_ohms: model::read_resistance(params, inst, rho, v_read),
+        rho_final: run.rho,
+        r_read_ohms: model::read_resistance(params, inst, run.rho, v_read),
         latency_s: pulse.width,
-        energy_j: energy,
-        i_initial,
+        energy_j: run.energy,
+        i_initial: run.i_initial,
     })
 }
 
@@ -400,7 +703,6 @@ pub fn simulate_worst_case_reset(
         v_drive: cond.v_drive,
         r_series: cond.r_series,
         width: cond.t_max,
-        dt: cond.dt,
     };
     simulate_standard_reset(params, inst, &pulse, cond.rho_start, cond.v_read)
 }
@@ -416,8 +718,6 @@ pub struct SetConditions {
     pub i_compliance: f64,
     /// Pulse width (s).
     pub width: f64,
-    /// Integration step (s).
-    pub dt: f64,
     /// Starting filament state.
     pub rho_start: f64,
     /// Read-back voltage (V).
@@ -435,7 +735,6 @@ impl SetConditions {
             r_series: 2.0e3,
             i_compliance: 100e-6,
             width: 300e-9,
-            dt: 0.5e-9,
             rho_start: 0.1,
             v_read: 0.3,
         }
@@ -482,43 +781,39 @@ pub fn simulate_set(
     // increasing in v_c), so one current evaluation picks the load line.
     let v_knee = cond.v_drive - cond.r_series * cond.i_compliance;
     let mut work = SolveWork::default();
-    // Operating point at state `rho`, warm-started from `guess`.
-    let mut solve_point = |rho: f64, guess: f64| -> Result<(f64, f64), RramError> {
-        if model::cell_current(params, inst, v_knee, rho) > cond.i_compliance {
-            let (vc, _) = solve_cell(params, inst, rho, cond.v_drive, clamp, guess, &mut work)?;
-            Ok((vc, cond.i_compliance))
-        } else {
-            solve_cell(params, inst, rho, cond.v_drive, divider, guess, &mut work)
-        }
-    };
-    let mut rho = cond.rho_start;
-    let (mut vc, mut i) = solve_point(rho, 0.5 * cond.v_drive)?;
-    let mut energy = 0.0;
-    let mut e_cell = 0.0;
-    for _ in 0..step_count(cond.width, cond.dt) {
-        rho = model::advance_state(params, inst, rho, vc, cond.dt);
-        let (p_prev, pc_prev) = (cond.v_drive * i, vc * i);
-        (vc, i) = solve_point(rho, vc)?;
-        energy += 0.5 * (p_prev + cond.v_drive * i) * cond.dt;
-        e_cell += 0.5 * (pc_prev + vc * i) * cond.dt;
-    }
+    let run = integrate_pulse(
+        params,
+        inst,
+        cond.v_drive,
+        1.0,
+        cond.rho_start,
+        cond.width,
+        |rho, guess| {
+            if model::cell_current(params, inst, v_knee, rho) > cond.i_compliance {
+                let (vc, _) = solve_cell(params, inst, rho, cond.v_drive, clamp, guess, &mut work)?;
+                Ok((vc, cond.i_compliance))
+            } else {
+                solve_cell(params, inst, rho, cond.v_drive, divider, guess, &mut work)
+            }
+        },
+    )?;
     let tel = Telemetry::global();
     if tel.is_enabled() {
         work.flush(tel);
     }
     let ledger = JouleLedger::global();
     if ledger.is_enabled() {
-        ledger.record_energy(DeviceClass::RramCell, Role::RramCell, e_cell);
+        ledger.record_energy(DeviceClass::RramCell, Role::RramCell, run.e_cell);
         ledger.record_energy(
             DeviceClass::Resistor,
             Role::AccessTransistor,
-            energy - e_cell,
+            run.energy - run.e_cell,
         );
     }
     Ok(SetOutcome {
-        rho_final: rho,
-        r_read_ohms: model::read_resistance(params, inst, rho, cond.v_read),
-        energy_j: energy,
+        rho_final: run.rho,
+        r_read_ohms: model::read_resistance(params, inst, run.rho, cond.v_read),
+        energy_j: run.energy,
     })
 }
 
@@ -588,7 +883,6 @@ fn calibration_objective(
     v_drive: f64,
     r_series: f64,
     target: &CalibrationTarget,
-    dt: f64,
 ) -> f64 {
     if params.validate().is_err() || !(0.5..=3.3).contains(&v_drive) || r_series <= 100.0 {
         return f64::INFINITY;
@@ -600,7 +894,6 @@ fn calibration_objective(
             v_drive,
             r_series,
             i_ref: i_ua * 1e-6,
-            dt,
             ..ResetConditions::paper_defaults(i_ua * 1e-6)
         };
         match simulate_reset_termination(params, &inst, &cond) {
@@ -616,7 +909,6 @@ fn calibration_objective(
             v_drive,
             r_series,
             i_ref: i_ua * 1e-6,
-            dt,
             ..ResetConditions::paper_defaults(i_ua * 1e-6)
         };
         match simulate_reset_termination(params, &inst, &cond) {
@@ -637,7 +929,6 @@ fn calibration_objective(
             v_drive,
             r_series,
             i_ref: i_ua * 1e-6,
-            dt,
             ..ResetConditions::paper_defaults(i_ua * 1e-6)
         };
         match simulate_reset_termination(params, &inst, &cond) {
@@ -680,7 +971,6 @@ pub fn calibrate(
     ];
     let scale = [0.2, 0.2, 0.4, 0.04, 0.2, 0.05, 0.3, 0.4];
     let base = *start;
-    let dt = 5e-9;
     let objective = move |x: &[f64]| {
         let mut p = base;
         p.g_on = x[0].exp();
@@ -690,7 +980,7 @@ pub fn calibrate(
         p.beta_rst = x[4];
         p.i_joule = x[7].exp();
         let target = CalibrationTarget::paper();
-        calibration_objective(&p, x[5], x[6].exp(), &target, dt)
+        calibration_objective(&p, x[5], x[6].exp(), &target)
     };
     let min = nelder_mead(
         objective,
@@ -763,10 +1053,72 @@ mod tests {
         let (p, inst) = nominal();
         let mut cond = ResetConditions::paper_defaults(1e-12); // below leakage floor
         cond.t_max = 5e-6;
+        let Err(RramError::NotTerminated { i_final, .. }) =
+            simulate_reset_termination(&p, &inst, &cond)
+        else {
+            panic!("a reference below the leakage floor must not terminate");
+        };
+        // The quoted current is the cell's at t_max under the same drive.
+        let pulse = StandardResetPulse {
+            v_drive: cond.v_drive,
+            r_series: cond.r_series,
+            width: cond.t_max,
+        };
+        let held = simulate_standard_reset(&p, &inst, &pulse, cond.rho_start, cond.v_read).unwrap();
+        let load = Load::Divider {
+            v_drive: cond.v_drive,
+            r_series: cond.r_series,
+        };
+        let i_at_t_max = bracketed_current(&p, &inst, held.rho_final, load, cond.v_drive);
+        assert!(
+            (i_final - i_at_t_max).abs() <= 1e-8 * i_at_t_max,
+            "{i_final} vs {i_at_t_max}"
+        );
+        // A reference reached only after t_max is abandoned the same way.
+        let slow = ResetConditions {
+            t_max: 1e-6,
+            ..ResetConditions::paper_defaults(6e-6)
+        };
         assert!(matches!(
-            simulate_reset_termination(&p, &inst, &cond),
+            simulate_reset_termination(&p, &inst, &slow),
             Err(RramError::NotTerminated { .. })
         ));
+    }
+
+    #[test]
+    fn cell_already_below_the_reference_trips_at_once() {
+        let (p, inst) = nominal();
+        let cond = ResetConditions {
+            rho_start: 0.05,
+            ..ResetConditions::paper_defaults(36e-6)
+        };
+        let out = simulate_reset_termination(&p, &inst, &cond).unwrap();
+        assert!(out.i_initial <= cond.i_ref);
+        assert_eq!(out.rho_final, cond.rho_start);
+        assert_eq!(out.latency_s, 0.0);
+        assert_eq!(out.energy_j, 0.0);
+    }
+
+    #[test]
+    fn terminated_state_draws_exactly_the_reference() {
+        // The trip is located at the closed-form state, so the current there
+        // equals IrefR to within the bracketed solve's 1e-14 A band.
+        let p = OxramParams::calibrated();
+        for inst in corners() {
+            for i_ua in [6.0, 20.0, 36.0] {
+                let cond = ResetConditions::paper_defaults(i_ua * 1e-6);
+                let out = simulate_reset_termination(&p, &inst, &cond).unwrap();
+                let load = Load::Divider {
+                    v_drive: cond.v_drive,
+                    r_series: cond.r_series,
+                };
+                let i = bracketed_current(&p, &inst, out.rho_final, load, cond.v_drive);
+                assert!(
+                    (i - cond.i_ref).abs() <= 1e-8 * cond.i_ref,
+                    "{inst:?} {i_ua} µA: {i}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -808,12 +1160,14 @@ mod tests {
 
     #[test]
     fn trapezoid_energy_differs_from_rectangle_by_a_bounded_margin() {
-        // Replays the terminated-RESET trajectory with the old left-endpoint
-        // rectangle rule and quantifies the quadrature change: nonzero (the
-        // conversion really changed the number) but sub-percent (nobody's
+        // Replays the terminated-RESET trajectory on a fixed 2 ns step with a
+        // left-endpoint rectangle rule, the trip sampled at step ends, and
+        // quantifies the change to the integrated energy: nonzero (the
+        // quadrature really changed the number) but sub-percent (nobody's
         // calibration anchor moved materially).
         let (p, inst) = nominal();
         let cond = ResetConditions::paper_defaults(10e-6);
+        let dt = 2e-9;
         let out = simulate_reset_termination(&p, &inst, &cond).unwrap();
         let mut rho = cond.rho_start;
         let mut rect = 0.0;
@@ -837,11 +1191,11 @@ mod tests {
             if i <= cond.i_ref {
                 break;
             }
-            rect += cond.v_drive * i * cond.dt;
-            rho = model::advance_state(&p, &inst, rho, -vc, cond.dt);
+            rect += cond.v_drive * i * dt;
+            rho = model::advance_state(&p, &inst, rho, -vc, dt);
         }
         let rel = (out.energy_j - rect).abs() / rect;
-        assert!(rel > 1e-7, "trapezoid should differ from rectangle: {rel}");
+        assert!(rel > 1e-7, "integral should differ from rectangle: {rel}");
         assert!(rel < 1e-2, "quadrature change too large: {rel}");
     }
 
@@ -856,6 +1210,17 @@ mod tests {
     ) -> f64 {
         let f = |vc: f64| model::cell_current(p, inst, vc, rho) - load.current(vc);
         newton_bisect(f, 0.0, v_drive, RootOptions::default()).unwrap()
+    }
+
+    /// The cell current at the bracketed operating point.
+    fn bracketed_current(
+        p: &OxramParams,
+        inst: &InstanceVariation,
+        rho: f64,
+        load: Load,
+        v_drive: f64,
+    ) -> f64 {
+        model::cell_current(p, inst, bracketed(p, inst, rho, load, v_drive), rho)
     }
 
     fn corners() -> Vec<InstanceVariation> {
@@ -958,26 +1323,24 @@ mod tests {
     #[test]
     fn fixed_width_pulses_run_exactly_their_width() {
         // Below v_rst_floor / v_set_floor the state holds, so the current is
-        // constant and the trapezoid energy is exactly v·i·width. Both
-        // widths are where accumulating `t += dt` overshoots by one step.
+        // constant and the energy is exactly v·i·width: the integrator must
+        // land on the pulse end, neither short of it nor a step past it.
         let (p, inst) = nominal();
-        for (width, dt) in [(60e-6, 2e-9), (100e-9, 1e-9)] {
+        for width in [60e-6, 100e-9] {
             let pulse = StandardResetPulse {
                 v_drive: 0.3,
                 r_series: 3.6131e3,
                 width,
-                dt,
             };
             let out = simulate_standard_reset(&p, &inst, &pulse, 1.0, 0.3).unwrap();
             assert_eq!(out.rho_final, 1.0);
             let exact = pulse.v_drive * out.i_initial * width;
             let rel = (out.energy_j - exact).abs() / exact;
-            assert!(rel <= 1e-12, "RESET {width} s at {dt} s: rel {rel:e}");
+            assert!(rel <= 1e-12, "RESET {width} s: rel {rel:e}");
 
             let set = SetConditions {
                 v_drive: 0.3,
                 width,
-                dt,
                 rho_start: 0.5,
                 ..SetConditions::paper_defaults()
             };
@@ -999,7 +1362,7 @@ mod tests {
             .unwrap();
             let exact = set.v_drive * i * width;
             let rel = (out.energy_j - exact).abs() / exact;
-            assert!(rel <= 1e-12, "SET {width} s at {dt} s: rel {rel:e}");
+            assert!(rel <= 1e-12, "SET {width} s: rel {rel:e}");
         }
     }
 
@@ -1025,8 +1388,7 @@ mod tests {
     fn objective_is_finite_at_calibrated_point() {
         let p = OxramParams::calibrated();
         let c = ResetConditions::paper_defaults(10e-6);
-        let obj =
-            calibration_objective(&p, c.v_drive, c.r_series, &CalibrationTarget::paper(), 5e-9);
+        let obj = calibration_objective(&p, c.v_drive, c.r_series, &CalibrationTarget::paper());
         assert!(obj.is_finite(), "objective = {obj}");
     }
 
@@ -1035,15 +1397,13 @@ mod tests {
         // A short smoke run: must not regress the objective.
         let p = OxramParams::calibrated();
         let c = ResetConditions::paper_defaults(10e-6);
-        let before =
-            calibration_objective(&p, c.v_drive, c.r_series, &CalibrationTarget::paper(), 5e-9);
+        let before = calibration_objective(&p, c.v_drive, c.r_series, &CalibrationTarget::paper());
         let res = calibrate(&p, c.v_drive, c.r_series, &CalibrationTarget::paper(), 40).unwrap();
         let after = calibration_objective(
             &res.params,
             res.v_drive,
             res.r_series,
             &CalibrationTarget::paper(),
-            5e-9,
         );
         assert!(after <= before * 1.0001, "{after} vs {before}");
     }

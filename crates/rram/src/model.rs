@@ -144,24 +144,9 @@ pub fn tau_reset(params: &OxramParams, inst: &InstanceVariation, v: f64) -> f64 
 pub fn advance_state(
     params: &OxramParams,
     inst: &InstanceVariation,
-    rho: f64,
-    v: f64,
-    dt: f64,
-) -> f64 {
-    advance_state_from(params, inst, rho, v, dt, None)
-}
-
-/// [`advance_state`] for a caller that already holds the cell current
-/// `I(−v, ρ)` at the starting state: a RESET reuses it for its first
-/// sub-step instead of evaluating the conduction law again.
-/// [`advance_state`] passes `None`, which evaluates it.
-pub(crate) fn advance_state_from(
-    params: &OxramParams,
-    inst: &InstanceVariation,
     mut rho: f64,
     v: f64,
     dt: f64,
-    mut i_known: Option<f64>,
 ) -> f64 {
     if dt <= 0.0 {
         return rho;
@@ -209,17 +194,10 @@ pub(crate) fn advance_state_from(
         let mut joule_clamps = 0u64;
         let mut floored = false;
         while remaining > 0.0 {
-            let shape = rho.powf(params.beta_rst).max(1e-12);
-            let i_mag = i_known
-                .take()
-                .unwrap_or_else(|| cell_current(params, inst, -v, rho))
-                .abs();
-            let joule_raw = 1.0 + (i_mag / params.i_joule).powi(2);
-            if joule_raw > 1e6 {
-                joule_clamps += 1;
-            }
-            let joule = joule_raw.min(1e6);
-            let tau_eff = tau / (shape * joule);
+            let i_mag = cell_current(params, inst, -v, rho).abs();
+            let (speed, clamped) = reset_speed(params, rho, i_mag);
+            joule_clamps += u64::from(clamped);
+            let tau_eff = tau / speed;
             let sub = (0.02 * tau_eff).min(remaining).max(remaining * 1e-9);
             rho *= (-sub / tau_eff).exp();
             remaining -= sub;
@@ -252,6 +230,51 @@ pub(crate) fn advance_state_from(
         note_regime(0, v);
         rho // retention dynamics are out of scope; state holds at zero bias
     }
+}
+
+/// RESET speed-up `ρ^β·(1 + (I/I_joule)²)` over the bare `1/τ` rate, with
+/// the Joule factor clamped at 10⁶; the flag reports a clamp.
+fn reset_speed(params: &OxramParams, rho: f64, i_mag: f64) -> (f64, bool) {
+    let shape = rho.powf(params.beta_rst).max(1e-12);
+    let joule_raw = 1.0 + (i_mag / params.i_joule).powi(2);
+    (shape * joule_raw.min(1e6), joule_raw > 1e6)
+}
+
+/// The state rate `dρ/dt` at cell voltage `v`, state `ρ` and cell-current
+/// magnitude `i_mag = |I(v, ρ)|`: the law [`advance_state`] integrates, for
+/// integrators that solve the cell voltage at every stage. Zero below the
+/// SET and RESET switching thresholds and at `ρ ≤ 0`; it has none of
+/// [`advance_state`]'s floor/ceiling snaps or telemetry.
+pub fn state_rate(
+    params: &OxramParams,
+    inst: &InstanceVariation,
+    rho: f64,
+    v: f64,
+    i_mag: f64,
+) -> f64 {
+    if v >= params.v_set_floor && v > 1e-9 {
+        (1.0 - rho) / tau_set(params, inst, v, rho)
+    } else if -v >= params.v_rst_floor && v < -1e-9 && rho > 0.0 {
+        -rho * reset_speed(params, rho, i_mag).0 / tau_reset(params, inst, -v)
+    } else {
+        0.0
+    }
+}
+
+/// The filament state at which the cell draws `i` at voltage magnitude
+/// `v > 0`: the conduction law is quadratic in `ρ`, so this is closed form.
+/// `None` when the hopping background alone already draws `i` or more (no
+/// filament state gets the current down to `i`).
+pub fn rho_at_current(
+    params: &OxramParams,
+    inst: &InstanceVariation,
+    v: f64,
+    i: f64,
+) -> Option<f64> {
+    let s = v / params.v_shape;
+    let filament = i - params.i_leak * safe_sinh(v / params.v_hop);
+    let g = params.g_on / inst.lx_factor * v * (1.0 + s * s);
+    (filament > 0.0 && g > 0.0).then(|| (filament / g).sqrt())
 }
 
 /// The filament state that reads as resistance `r_ohms` at `v_read`
@@ -333,15 +356,51 @@ mod tests {
     }
 
     #[test]
-    fn known_current_reproduces_advance_state() {
+    fn state_rate_is_the_law_advance_state_integrates() {
         let (p, i) = nominal();
-        for (rho, v) in [(1.0, -0.7), (0.4, -1.1), (0.05, -2.5), (0.3, 0.9)] {
-            let known = cell_current(&p, &i, -v, rho);
-            let reused = advance_state_from(&p, &i, rho, v, 2e-9, Some(known));
-            assert_eq!(
-                reused.to_bits(),
-                advance_state(&p, &i, rho, v, 2e-9).to_bits()
+        // Over a step that moves ρ by 1 ppm the closed-form update is the
+        // rate times the step; below the switching floors both hold.
+        for (rho, v) in [
+            (1.0, -0.7),
+            (0.4, -1.1),
+            (0.05, -2.5),
+            (1.0, -3.0),
+            (0.3, 0.9),
+            (0.05, 1.2),
+            (0.5, 0.2),
+            (0.5, -0.2),
+        ] {
+            let rate = state_rate(&p, &i, rho, v, cell_current(&p, &i, v, rho).abs());
+            if rate == 0.0 {
+                assert_eq!(advance_state(&p, &i, rho, v, 1e-6), rho, "rho={rho} v={v}");
+                continue;
+            }
+            let dt = 1e-6 * rho / rate.abs();
+            let fd = (advance_state(&p, &i, rho, v, dt) - rho) / dt;
+            assert!(
+                (fd - rate).abs() <= 1e-5 * rate.abs(),
+                "rho={rho} v={v}: {fd} vs {rate}"
             );
+        }
+    }
+
+    #[test]
+    fn rho_at_current_inverts_the_conduction_law() {
+        let (p, _) = nominal();
+        for inst in [
+            InstanceVariation::nominal(),
+            InstanceVariation {
+                alpha_factor: 1.1,
+                lx_factor: 0.9,
+            },
+        ] {
+            for (v, i) in [(1.13, 6e-6), (1.02, 36e-6), (0.3, 1e-7)] {
+                let rho = rho_at_current(&p, &inst, v, i).unwrap();
+                let back = cell_current(&p, &inst, v, rho);
+                assert!((back - i).abs() <= 1e-13 * i, "v={v}: {back} vs {i}");
+            }
+            // The hopping background alone already exceeds the target.
+            assert_eq!(rho_at_current(&p, &inst, 1.0, 1e-12), None);
         }
     }
 

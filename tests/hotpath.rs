@@ -30,14 +30,15 @@ fn solver_work_attributes_to_named_leaf_phases() {
     assert!(circuit_out.latency_s.is_some(), "termination fired");
 
     // Fast path: the Monte Carlo volume driver (semi-analytic kernels).
-    // Weighted like `repro_all`: MC programs outnumber circuit transients
-    // by orders of magnitude, so the fast-path leaves dominate the profile.
+    // Weighted like `repro_all`, where 5,761 programs share the profile with
+    // one circuit transient: MC programs outnumber circuit transients by
+    // orders of magnitude, so the fast-path leaves dominate the profile.
     let params = OxramParams::calibrated();
     let alloc = LevelAllocation::paper_qlc();
     let cond = ProgramConditions::paper();
     let var = McVariability::default();
     let mut rng = StdRng::seed_from_u64(7);
-    for sweep in 0..4 {
+    for sweep in 0..16 {
         for code in 0..16u16 {
             program_cell_mc(&params, &alloc, code, &cond, &var, &mut rng)
                 .unwrap_or_else(|e| panic!("sweep {sweep} code {code}: {e}"));
